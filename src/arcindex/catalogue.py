@@ -163,8 +163,12 @@ def save(catalogue: Catalogue, path) -> None:
 
 def load(path) -> Catalogue:
     text = Path(path).read_text(encoding="utf-8")
+
+    def reject_constant(name):
+        raise FormatError(f"{path}: non-finite number {name} in catalogue")
+
     try:
-        payload = json.loads(text)
+        payload = json.loads(text, parse_constant=reject_constant)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: invalid catalogue JSON at offset {exc.pos}: {exc.msg}",
                           offset=exc.pos) from exc

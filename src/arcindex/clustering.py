@@ -8,11 +8,18 @@ cases where only the matrix survives.
 
 Merging always takes the most similar pair, breaking ties toward the
 lexicographically smallest id pair, and stops when no pair exceeds the
-threshold.
+threshold. The loop keeps every live pair in a heap and discards stale
+entries lazily, so n ids cost n(n-1)/2 initial scores, one fresh score
+per remaining cluster after each merge, and O(n^2 log n) heap work.
+After a merge the merged id is always the first argument to
+``similarity_of``, whichever id is smaller: matrix-mode averages sum in
+argument order, so swapping the arguments can move the last bit of a
+trace value.
 """
 
 from __future__ import annotations
 
+import heapq
 import statistics
 from dataclasses import dataclass
 
@@ -55,31 +62,41 @@ def _merge_loop(ids, similarity_of, on_merge, dt: float):
     """Shared agglomeration: merge the argmax pair while above dt.
 
     ``similarity_of(a, b)`` scores two live cluster ids; ``on_merge(a,
-    b)`` folds b's state into a (a < b). Returns (live ids, trace).
+    b, sim)`` folds b's state into a (a < b), given the pair's
+    similarity. Returns (live ids, trace).
+
+    Every live pair has one valid heap entry ``(-sim, a, b, stamp_a,
+    stamp_b)`` with a < b. A merge bumps the survivor's stamp, retires
+    the absorbed id and pushes the survivor's fresh pairs; entries with
+    a retired id or an old stamp are dropped when popped.
     """
     live = sorted(ids)
-    sims = {}
-    for i, a in enumerate(live):
-        for b in live[i + 1:]:
-            sims[(a, b)] = similarity_of(a, b)
+    stamp = dict.fromkeys(live, 0)
+    heap = [(-similarity_of(a, b), a, b, 0, 0)
+            for i, a in enumerate(live) for b in live[i + 1:]]
+    heapq.heapify(heap)
     trace = []
     while len(live) > 1:
-        best_pair = None
-        best_sim = -1.0
-        for pair in sorted(sims):
-            if sims[pair] > best_sim:
-                best_sim = sims[pair]
-                best_pair = pair
+        neg_sim, a, b, stamp_a, stamp_b = heapq.heappop(heap)
+        if stamp.get(a) != stamp_a or stamp.get(b) != stamp_b:
+            continue
+        best_sim = -neg_sim
         if best_sim <= dt:
             break
-        a, b = best_pair
         trace.append((a, b, best_sim))
-        on_merge(a, b)
+        on_merge(a, b, best_sim)
         live.remove(b)
-        sims = {p: s for p, s in sims.items() if a not in p and b not in p}
+        del stamp[b]
+        stamp[a] += 1
         for other in live:
             if other != a:
-                sims[tuple(sorted((a, other)))] = similarity_of(a, other)
+                # Score with the merged id first, then key the pair by
+                # (min, max): matrix-mode averages sum in argument order.
+                sim = similarity_of(a, other)
+                if a < other:
+                    heapq.heappush(heap, (-sim, a, other, stamp[a], stamp[other]))
+                else:
+                    heapq.heappush(heap, (-sim, other, a, stamp[other], stamp[a]))
     return live, trace
 
 
@@ -101,7 +118,7 @@ def cluster_matrix(matrix: SimilarityMatrix, dt: float):
                 count += 1
         return total / count
 
-    def on_merge(a, b):
+    def on_merge(a, b, _sim):
         members[a] = sorted(members[a] + members[b])
         del members[b]
 
@@ -167,11 +184,10 @@ def cluster_series(series_list, cfg: PipelineConfig,
                                cfg.length_ratio_limit)
         return spsi(ra.values(), rb.values())
 
-    def on_merge(a, b):
+    def on_merge(a, b, sim):
         ca, cb = state[a], state[b]
         members = sorted(ca.members + cb.members)
         rep = _mean_series(a, [series_by_id[m] for m in members])
-        sim = similarity_of(a, b)
         state[a] = Cluster(
             cluster_id=a,
             members=members,

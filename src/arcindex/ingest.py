@@ -229,9 +229,10 @@ def save_store(docs, path) -> None:
             for d in docs
         ],
     }
+    # One dumps call: json.dump to a handle runs the pure-Python encoder.
+    text = json.dumps(payload, separators=(",", ":"), sort_keys=True) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, separators=(",", ":"), sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_store(path) -> list:

@@ -18,7 +18,7 @@ from .catalogue import Catalogue, build_catalogue
 from .characters import co_occurrence, extract_characters, select_core, select_prime
 from .clustering import cluster_series, resolve_threshold
 from .config import PipelineConfig
-from .errors import ArcIndexError
+from .errors import ArcIndexError, FormatError
 from .ingest import (AliasTable, BookDocument, SentimentLexicon, load_aliases,
                      load_cmu_summaries, load_default_lexicon, load_plain_text,
                      segment_blocks)
@@ -229,9 +229,11 @@ def load_labels(path) -> dict:
 
     labels = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row in csv.reader(fh):
+        for row_no, row in enumerate(csv.reader(fh), start=1):
             if not row or row[0].strip().lower() == "book_id":
                 continue
+            if len(row) < 2:
+                raise FormatError(f"{path}: row {row_no}: expected book_id,label")
             labels[row[0].strip()] = row[1].strip()
     return labels
 

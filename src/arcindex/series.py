@@ -10,6 +10,7 @@ originating book when it is large.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -194,6 +195,8 @@ def read_series_csv(path, book_id: str | None = None) -> SentimentSeries:
                 value = float(row[1])
             except ValueError:
                 raise FormatError(f"{path}: row {row_no}: non-numeric position/value")
+            if not (math.isfinite(position) and math.isfinite(value)):
+                raise FormatError(f"{path}: row {row_no}: non-finite position/value")
             provenance = row[2].strip() if len(row) == 3 else PRIMARY
             if provenance not in _PROVENANCE:
                 raise FormatError(f"{path}: row {row_no}: unknown provenance {provenance!r}")

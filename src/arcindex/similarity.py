@@ -208,6 +208,8 @@ def read_matrix_csv(path) -> SimilarityMatrix:
             values.append([float(c) for c in row[1:]])
         except ValueError as exc:
             raise FormatError(f"{path}: non-numeric matrix entry: {exc}")
+        if not all(map(math.isfinite, values[-1])):
+            raise FormatError(f"{path}: row {row[0]!r} has a non-finite entry")
     row_ids = [r[0].strip() for r in rows[1:]]
     if row_ids != ids:
         raise FormatError(f"{path}: row labels do not match header labels")

@@ -117,6 +117,17 @@ def test_load_reports_corruption_with_offset(tmp_path):
     assert excinfo.value.offset is not None
 
 
+@pytest.mark.parametrize("constant", [float("nan"), float("inf"), float("-inf")])
+def test_load_rejects_non_finite_numbers(tmp_path, constant):
+    path = tmp_path / "catalogue.json"
+    save(_toy_catalogue(), path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload["entries"][0]["series"][0]["value"] = constant
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(FormatError):
+        load(path)
+
+
 def test_load_rejects_missing_version(tmp_path):
     path = tmp_path / "no-version.json"
     path.write_text(json.dumps({"clusters": [], "entries": []}), encoding="utf-8")

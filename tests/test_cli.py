@@ -246,6 +246,23 @@ def test_eval_without_labels_file_is_a_data_error(cli_corpus, capsys):
                  str(cli_corpus / "missing.csv")] + SET_BLOCKS) == 2
 
 
+def test_eval_with_a_one_column_labels_row_is_a_data_error(cli_corpus, tmp_path, capsys):
+    labels = tmp_path / "labels.csv"
+    labels.write_text("book_id,label\nsynth-000\n", encoding="utf-8")
+    assert main(["eval", str(cli_corpus), "--labels", str(labels)] + SET_BLOCKS) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_non_finite_inputs_are_data_errors(tmp_path, capsys):
+    matrix = tmp_path / "nan.csv"
+    matrix.write_text("book_id,a,b\na,1.0,nan\nb,nan,1.0\n", encoding="utf-8")
+    assert main(["cluster", "--matrix", str(matrix), "--dt", "0.4"]) == 2
+    series = tmp_path / "nan-series.csv"
+    series.write_text("0.0,0.2\n0.5,nan\n1.0,0.8\n", encoding="utf-8")
+    assert main(["spsi", "--series-a", str(series), "--series-b", str(series)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_synth_is_deterministic_across_runs(tmp_path, capsys):
     one = tmp_path / "one"
     two = tmp_path / "two"

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arcindex.clustering import (cluster_matrix, cluster_report, cluster_series,
                                  resolve_threshold)
@@ -8,7 +10,9 @@ from arcindex.similarity import SimilarityMatrix
 from oracle_reference import ref_adaptive_threshold, ref_average_linkage
 from reference_data import (GRID_ADAPTIVE_DT, GRID_FIRST_MERGE, GRID_IDS,
                             GRID_PARTITION_AT_04, GRID_TRACE_AT_04,
-                            grid_matrix_values, grid_pair_sims_str)
+                            RANDOM12_TRACE, SYNTH_MERGE_TRACE,
+                            grid_matrix_values, grid_pair_sims_str,
+                            random_matrix_values)
 
 
 def _grid_matrix():
@@ -85,6 +89,53 @@ def test_merge_ties_choose_smallest_pair():
     _, trace = cluster_matrix(SimilarityMatrix(ids, values), dt=0.5)
     assert trace[0][:2] == ("a", "b")
     assert trace[1][:2] == ("c", "d")
+
+
+@st.composite
+def _eighths_matrices(draw):
+    """Symmetric matrices with off-diagonal values k/8, plus a threshold.
+
+    Multiples of 1/8 and their sums are exact in binary, so every
+    average is the same whatever order its terms are added in, and
+    exact ties between pairs are common.
+    """
+    n = draw(st.integers(min_value=3, max_value=9))
+    ids = [f"b{i}" for i in range(n)]
+    values = [[1.0] * n for _ in range(n)]
+    pair_sims = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            v = draw(st.integers(min_value=0, max_value=8)) / 8
+            values[i][j] = values[j][i] = v
+            pair_sims[(ids[i], ids[j])] = v
+    dt = draw(st.integers(min_value=0, max_value=7)) / 8
+    return SimilarityMatrix(ids, values), pair_sims, dt
+
+
+@settings(max_examples=200, deadline=None)
+@given(_eighths_matrices())
+def test_matrix_clustering_matches_oracle_including_ties(case):
+    matrix, pair_sims, dt = case
+    partition, trace = cluster_matrix(matrix, dt)
+    ref_partition, ref_trace = ref_average_linkage(pair_sims, matrix.book_ids, dt)
+    assert sorted(partition) == ref_partition
+    assert [tuple(t) for t in trace] == ref_trace
+
+
+def test_matrix_trace_scores_the_merged_cluster_first():
+    ids = [f"b{i:02d}" for i in range(12)]
+    matrix = SimilarityMatrix(ids, random_matrix_values(12, 0))
+    _, trace = cluster_matrix(matrix, dt=0.0)
+    assert [(a, b, repr(s)) for a, b, s in trace] == RANDOM12_TRACE
+
+
+def test_series_merge_trace_is_pinned(synth_outcome):
+    result = synth_outcome["result"]
+    trace = result.merge_trace
+    assert [(a, b, repr(s)) for a, b, s in trace] == SYNTH_MERGE_TRACE
+    # Each cluster's own trace holds exactly its merges from the global one.
+    own = sorted(t for c in result.clusters for t in c.merge_trace)
+    assert own == sorted(trace)
 
 
 def _series(book_id, values):

@@ -191,6 +191,23 @@ def test_store_round_trip(tmp_path):
            [(t.text, t.capitalized, t.sentence_start) for t in docs[0].tokens]
 
 
+def test_store_bytes_are_stable(tmp_path):
+    docs = [
+        BookDocument(book_id="b1", title='Café "Noir"', tokens=tokenize("Élise met Bram. Bye!"),
+                     author="A", metadata={"genres": ["G"], "pub_date": None}),
+        BookDocument(book_id="b2", title="Two", tokens=tokenize("More words here.")),
+    ]
+    path = tmp_path / "store.json"
+    save_store(docs, path)
+    assert path.read_text(encoding="utf-8") == (
+        '{"documents":[{"author":"A","book_id":"b1","language":"en",'
+        '"metadata":{"genres":["G"],"pub_date":null},"title":"Caf\\u00e9 \\"Noir\\"",'
+        '"tokens":[["\\u00e9lise",1,1],["met",0,0],["bram",1,0],["bye",1,1]]},'
+        '{"author":null,"book_id":"b2","language":"en","metadata":{},"title":"Two",'
+        '"tokens":[["more",1,1],["words",0,0],["here",0,0]]}],'
+        '"format":"arcindex-store","version":"1.0"}\n')
+
+
 def test_store_rejects_foreign_json(tmp_path):
     path = tmp_path / "other.json"
     path.write_text(json.dumps({"something": "else"}), encoding="utf-8")

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from arcindex.errors import CoreExtractionError
+from arcindex.errors import CoreExtractionError, FormatError
 from arcindex.ingest import BookDocument, tokenize
 from arcindex.pipeline import (analyze_book, analyze_corpus, build_from_documents,
                                evaluate, load_corpus_dir, load_labels)
@@ -126,3 +126,10 @@ def test_load_labels_reads_two_column_csv(tmp_path):
     path = tmp_path / "labels.csv"
     path.write_text("book_id,label\nb1,2\nb2,1\n", encoding="utf-8")
     assert load_labels(path) == {"b1": "2", "b2": "1"}
+
+
+def test_load_labels_rejects_a_one_column_row(tmp_path):
+    path = tmp_path / "labels.csv"
+    path.write_text("book_id,label\nb1,2\nb2\n", encoding="utf-8")
+    with pytest.raises(FormatError):
+        load_labels(path)

@@ -198,6 +198,14 @@ def test_series_csv_rejects_unsorted_positions(tmp_path):
         read_series_csv(path)
 
 
+@pytest.mark.parametrize("row", ["0.5,nan", "0.5,inf", "nan,0.3", "0.5,-1e999"])
+def test_series_csv_rejects_non_finite_numbers(tmp_path, row):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"0.0,0.2\n{row}\n1.0,0.8\n", encoding="utf-8")
+    with pytest.raises(FormatError):
+        read_series_csv(path)
+
+
 def test_series_csv_rejects_non_numeric_rows(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("0.0,low\n1.0,0.8\n", encoding="utf-8")

@@ -158,6 +158,16 @@ def test_matrix_csv_rejects_ragged_rows(tmp_path):
         read_matrix_csv(path)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e999"])
+def test_matrix_csv_rejects_non_finite_entries(tmp_path, cell):
+    from arcindex.errors import FormatError
+
+    path = tmp_path / "bad.csv"
+    path.write_text(f"book_id,a,b\na,1.0,{cell}\nb,0.5,1.0\n", encoding="utf-8")
+    with pytest.raises(FormatError):
+        read_matrix_csv(path)
+
+
 def test_off_diagonal_lists_upper_triangle():
     m = SimilarityMatrix(book_ids=["a", "b", "c"],
                          values=[[1.0, 0.2, 0.3], [0.2, 1.0, 0.4], [0.3, 0.4, 1.0]])
