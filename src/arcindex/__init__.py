@@ -36,8 +36,8 @@ from .pivots import (InteractionIndex, PivotPoint, block_sentiment,
 from .series import (INTERPOLATED, PRIMARY, SECONDARY, ContextBlock,
                      SentimentSeries, SeriesPoint, align_lengths, build_series,
                      export_series_csv, read_series_csv, resample_secondary)
-from .similarity import (SimilarityMatrix, SpsiBreakdown, read_matrix_csv, spsi,
-                         spsi_breakdown, spsi_matrix, write_matrix_csv)
+from .similarity import (SimilarityMatrix, SpsiBreakdown, read_matrix_csv, score,
+                         spsi, spsi_breakdown, spsi_matrix, write_matrix_csv)
 from .synth import (DEFAULT_TEMPLATES, ArcTemplate, GenSpec, SynthResult,
                     generate, write_corpus)
 

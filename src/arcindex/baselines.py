@@ -63,12 +63,12 @@ def baseline1_vectors(docs) -> dict:
     return _tfidf(bags)
 
 
-def baseline2_vectors(docs, use_full_text: bool = False) -> dict:
-    """Summary-text TF-IDF; the full body only when asked or as fallback."""
+def baseline2_vectors(docs) -> dict:
+    """Summary-text TF-IDF, falling back to the full body."""
     bags = {}
     for doc in docs:
         summary = doc.metadata.get("summary")
-        if summary and not use_full_text:
+        if summary:
             tokens = [t.text for t in tokenize(summary)]
         elif doc.tokens:
             tokens = [t.text for t in doc.tokens]

@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 from dataclasses import dataclass, field
+from math import isfinite
 from pathlib import Path
 
 from .errors import EmptyCatalogue, FormatError, UnknownBook, VersionError
-from .series import PRIMARY, SentimentSeries, SeriesPoint, align_lengths
-from .similarity import spsi
+from .series import PRIMARY, SentimentSeries, SeriesPoint
+from .similarity import score
 
 FORMAT_VERSION = "1.0"
 
@@ -85,7 +87,6 @@ def build_catalogue(clusters, series_by_id: dict, cfg, book_meta: dict) -> Catal
     entries = []
     for cluster in sorted(clusters, key=lambda c: str(c.cluster_id)):
         rep = _quantize_series(cluster.representative)
-        rep_values = rep.values()
         cid = str(cluster.cluster_id)
         index_clusters.append(IndexCluster(
             cluster_id=cid,
@@ -95,11 +96,7 @@ def build_catalogue(clusters, series_by_id: dict, cfg, book_meta: dict) -> Catal
         cluster_entries = []
         for member in cluster.members:
             series = _quantize_series(series_by_id[member])
-            aligned_s, aligned_r = align_lengths(
-                series,
-                SentimentSeries(book_id="rep", points=rep.points),
-            )
-            distance = quantize(1.0 - spsi(aligned_s.values(), aligned_r.values()))
+            distance = quantize(1.0 - score(series, rep))
             title, author = book_meta.get(member, (str(member), None))
             cluster_entries.append(CatalogueEntry(
                 book_id=str(member),
@@ -123,9 +120,13 @@ def _series_payload(series: SentimentSeries) -> list:
 
 
 def _series_from_payload(book_id: str, payload) -> SentimentSeries:
-    points = [SeriesPoint(float(p["position"]), float(p["value"]),
-                          p.get("provenance", PRIMARY))
-              for p in payload]
+    points = []
+    for p in payload:
+        position = float(p["position"])
+        value = float(p["value"])
+        if not (isfinite(position) and isfinite(value)):
+            raise ValueError(f"non-finite point in the series of {book_id!r}")
+        points.append(SeriesPoint(position, value, p.get("provenance", PRIMARY)))
     return SentimentSeries(book_id=book_id, points=points)
 
 
@@ -156,9 +157,18 @@ def save(catalogue: Catalogue, path) -> None:
     }
     path = Path(path)
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        # mkstemp creates the file owner-only; keep the mode a plain write gave.
+        os.chmod(tmp, 0o644)
+        with open(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load(path) -> Catalogue:
@@ -189,26 +199,23 @@ def load(path) -> Catalogue:
             )
             for c in payload["clusters"]
         ]
-        entries = [
-            CatalogueEntry(
+        entries = []
+        for e in payload["entries"]:
+            distance = float(e["distance"])
+            if not isfinite(distance):
+                raise ValueError(f"non-finite distance of {e['book_id']!r}")
+            entries.append(CatalogueEntry(
                 book_id=e["book_id"],
                 title=e["title"],
                 author=e.get("author"),
                 cluster_id=e["cluster_id"],
-                distance=float(e["distance"]),
+                distance=distance,
                 series=_series_from_payload(e["book_id"], e["series"]),
-            )
-            for e in payload["entries"]
-        ]
+            ))
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: malformed catalogue structure: {exc}") from exc
     return Catalogue(format_version=version, config=payload.get("config", {}),
                      clusters=clusters, entries=entries)
-
-
-def _score(query: SentimentSeries, candidate: SentimentSeries) -> float:
-    a, b = align_lengths(query, candidate)
-    return spsi(a.values(), b.values())
 
 
 def search_similar(catalogue: Catalogue, query, k: int,
@@ -227,7 +234,7 @@ def search_similar(catalogue: Catalogue, query, k: int,
     for e in catalogue.entries:
         if exclude is not None and e.book_id == exclude:
             continue
-        scored.append((e, _score(query_series, e.series)))
+        scored.append((e, score(query_series, e.series)))
     scored.sort(key=lambda item: (-item[1], item[0].title))
     return [(e.book_id, s) for e, s in scored[:max(k, 0)]]
 
@@ -239,7 +246,7 @@ def nearest_cluster(catalogue: Catalogue, series: SentimentSeries):
     best_id = None
     best_sim = -1.0
     for c in sorted(catalogue.clusters, key=lambda c: c.cluster_id):
-        sim = _score(series, c.representative)
+        sim = score(series, c.representative)
         if sim > best_sim:
             best_sim = sim
             best_id = c.cluster_id

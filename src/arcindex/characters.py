@@ -29,13 +29,6 @@ class CharacterProfile:
     first_mention: int = 0                      # token offset of earliest mention
     mention_positions: list = field(default_factory=list)
 
-    def per_block_counts(self, block_size: int) -> dict:
-        counts = {}
-        for pos in self.mention_positions:
-            idx = pos // block_size
-            counts[idx] = counts.get(idx, 0) + 1
-        return counts
-
 
 @dataclass(frozen=True)
 class CoOccurrenceEdge:

@@ -23,8 +23,8 @@ from .errors import ArcIndexError, ConfigError
 from .ingest import load_cmu_summaries, load_plain_text, load_store, save_store
 from .pipeline import (analyze_corpus, build_from_documents, evaluate,
                        load_corpus_dir, load_labels)
-from .series import export_series_csv, read_series_csv
-from .similarity import (read_matrix_csv, spsi_breakdown, spsi_matrix,
+from .series import align_lengths, export_series_csv, read_series_csv
+from .similarity import (read_matrix_csv, score, spsi_breakdown, spsi_matrix,
                          write_matrix_csv)
 from .synth import DEFAULT_TEMPLATES, GenSpec, generate, write_corpus
 
@@ -48,10 +48,6 @@ def _common_flags(parser):
     parser.add_argument("--set", metavar="KEY=VALUE", action="append",
                         dest="overrides", default=argparse.SUPPRESS,
                         help="override one config key (repeatable)")
-    parser.add_argument("--jobs", type=int, metavar="N", default=argparse.SUPPRESS,
-                        help="worker processes for per-book stages")
-    parser.add_argument("--seed", type=int, metavar="S", default=argparse.SUPPRESS,
-                        help="random seed where a command uses one")
     parser.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
                         help="emit machine-readable JSON instead of a summary")
     parser.add_argument("--print-config", action="store_true",
@@ -119,6 +115,8 @@ def build_parser() -> _Parser:
 
     p = command("synth", "generate a synthetic corpus with ground truth")
     p.add_argument("-o", "--output", metavar="DIR", required=True)
+    p.add_argument("--seed", type=int, default=GenSpec.seed, metavar="S",
+                   help="generator seed")
     p.add_argument("--per-archetype", type=int, default=25, metavar="N")
     p.add_argument("--archetypes", type=int, default=len(DEFAULT_TEMPLATES),
                    metavar="M", help="use the first M archetype templates")
@@ -136,25 +134,22 @@ def _resolve_config(args) -> PipelineConfig:
             if "=" not in item:
                 raise UsageError(f"--set expects KEY=VALUE, got {item!r}")
         cfg = parse_config_text("\n".join(overrides), base=cfg)
-    jobs = getattr(args, "jobs", None)
-    if jobs is not None:
-        cfg = cfg.replace(jobs=jobs)
     return cfg.validate()
 
 
 def _load_input(path_str: str):
-    """Resolve a corpus argument to (documents, aliases)."""
+    """Resolve a corpus argument to (documents, aliases, skipped TSV rows)."""
     path = Path(path_str)
     if not path.exists():
         raise FileNotFoundError(f"input not found: {path}")
     if path.is_dir():
-        return load_corpus_dir(path)
+        return *load_corpus_dir(path), 0
     if path.suffix == ".json":
-        return load_store(path), None
+        return load_store(path), None, 0
     if path.suffix == ".tsv":
-        docs, _skipped = load_cmu_summaries(path)
-        return docs, None
-    return [load_plain_text(path, book_id=path.stem)], None
+        docs, skipped = load_cmu_summaries(path)
+        return docs, None, skipped
+    return [load_plain_text(path, book_id=path.stem)], None, 0
 
 
 def _emit(args, payload: dict, human_lines) -> None:
@@ -175,12 +170,7 @@ def _select_docs(docs, book_id):
 
 
 def _cmd_ingest(args, cfg):
-    path = Path(args.input)
-    if path.is_file() and path.suffix == ".tsv":
-        docs, skipped = load_cmu_summaries(path)
-    else:
-        docs, _aliases = _load_input(args.input)
-        skipped = 0
+    docs, _aliases, skipped = _load_input(args.input)
     if args.output:
         save_store(docs, args.output)
     payload = {
@@ -198,7 +188,7 @@ def _cmd_ingest(args, cfg):
 
 
 def _cmd_characters(args, cfg):
-    docs, aliases = _load_input(args.input)
+    docs, aliases, _ = _load_input(args.input)
     docs = _select_docs(docs, args.book)
     analyses, _ = analyze_corpus(docs, cfg, aliases=aliases)
     payload = {}
@@ -212,7 +202,7 @@ def _cmd_characters(args, cfg):
 
 
 def _cmd_pivots(args, cfg):
-    docs, aliases = _load_input(args.input)
+    docs, aliases, _ = _load_input(args.input)
     docs = _select_docs(docs, args.book)
     analyses, _ = analyze_corpus(docs, cfg, aliases=aliases)
     payload = {}
@@ -234,7 +224,7 @@ def _cmd_pivots(args, cfg):
 
 
 def _cmd_series(args, cfg):
-    docs, aliases = _load_input(args.input)
+    docs, aliases, _ = _load_input(args.input)
     docs = _select_docs(docs, args.book)
     analyses, _ = analyze_corpus(docs, cfg, aliases=aliases)
     out_dir = Path(args.output) if args.output else None
@@ -259,15 +249,15 @@ def _cmd_spsi(args, cfg):
             raise UsageError("--series-a and --series-b go together")
         s1 = read_series_csv(args.series_a)
         s2 = read_series_csv(args.series_b)
-        from .series import align_lengths
+        value = score(s1, s2, cfg.length_ratio_limit)
         a, b = align_lengths(s1, s2, cfg.length_ratio_limit)
         br = spsi_breakdown(a.values(), b.values())
         payload = {
-            "spsi": br.spsi, "ps": br.ps, "sd": br.sd,
+            "spsi": value, "ps": br.ps, "sd": br.sd,
             "rs": br.rs, "cf": br.cf, "n": br.n,
         }
         lines = [
-            f"spsi = {br.spsi:.6f}",
+            f"spsi = {value:.6f}",
             f"probable sentiment = {br.ps:.6f}",
             f"sentiment distance = {br.sd:.6f}",
             "rs = " + " ".join(f"{v:.4f}" for v in br.rs),
@@ -278,7 +268,7 @@ def _cmd_spsi(args, cfg):
         return 0
     if not args.input:
         raise UsageError("spsi needs an input corpus or --series-a/--series-b")
-    docs, aliases = _load_input(args.input)
+    docs, aliases, _ = _load_input(args.input)
     analyses, _ = analyze_corpus(docs, cfg, aliases=aliases)
     matrix = spsi_matrix([a.series for a in analyses], cfg.length_ratio_limit)
     if args.output:
@@ -322,7 +312,7 @@ def _cmd_cluster(args, cfg):
 
     if not args.input:
         raise UsageError("cluster needs an input corpus or --matrix")
-    docs, aliases = _load_input(args.input)
+    docs, aliases, _ = _load_input(args.input)
     result = build_from_documents(docs, cfg, aliases=aliases)
     clusters = result.clusters
     payload = cluster_report(clusters, result.dynamic_threshold)
@@ -333,7 +323,7 @@ def _cmd_cluster(args, cfg):
 
 
 def _cmd_index(args, cfg):
-    docs, aliases = _load_input(args.input)
+    docs, aliases, _ = _load_input(args.input)
     result = build_from_documents(docs, cfg, aliases=aliases)
     save_catalogue(result.catalogue, args.output)
     payload = {
@@ -375,7 +365,7 @@ def _cmd_search(args, cfg):
 
 
 def _cmd_eval(args, cfg):
-    docs, aliases = _load_input(args.input)
+    docs, aliases, _ = _load_input(args.input)
     labels = load_labels(args.labels)
     if args.baselines:
         report = evaluate(docs, labels, cfg, aliases=aliases)
@@ -406,7 +396,7 @@ def _cmd_synth(args, cfg):
     templates = DEFAULT_TEMPLATES[:args.archetypes]
     if not templates:
         raise UsageError("--archetypes must be at least 1")
-    spec = GenSpec(seed=getattr(args, "seed", GenSpec.seed),
+    spec = GenSpec(seed=args.seed,
                    books_per_archetype=args.per_archetype,
                    templates=templates)
     result = generate(spec)

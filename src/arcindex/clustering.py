@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .config import PipelineConfig
 from .series import PRIMARY, SentimentSeries, SeriesPoint, align_lengths
-from .similarity import SimilarityMatrix, spsi
+from .similarity import SimilarityMatrix, score
 
 __all__ = [
     "Cluster", "resolve_threshold", "cluster_matrix", "cluster_series",
@@ -180,9 +180,8 @@ def cluster_series(series_list, cfg: PipelineConfig,
         key = tuple(sorted((a, b)))
         if key in initial and len(state[a].members) == 1 and len(state[b].members) == 1:
             return initial[key]
-        ra, rb = align_lengths(state[a].representative, state[b].representative,
-                               cfg.length_ratio_limit)
-        return spsi(ra.values(), rb.values())
+        return score(state[a].representative, state[b].representative,
+                     cfg.length_ratio_limit)
 
     def on_merge(a, b, sim):
         ca, cb = state[a], state[b]

@@ -26,7 +26,6 @@ class PipelineConfig:
     dt_mode: str = "fixed"         # "fixed" or "adaptive"
     dt: float = 0.4                # threshold value when dt_mode == "fixed"
     length_ratio_limit: float = 0.3  # alignment switches strategy above this
-    jobs: int = 1                  # worker processes for per-book stages
 
     def validate(self) -> "PipelineConfig":
         if self.block_size < 50:
@@ -51,8 +50,6 @@ class PipelineConfig:
             raise ConfigError("dt must be in (0, 1)")
         if not 0.0 < self.length_ratio_limit < 1.0:
             raise ConfigError("length_ratio_limit must be in (0, 1)")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be >= 1")
         return self
 
     def to_dict(self) -> dict:

@@ -41,10 +41,6 @@ class BookDocument:
     def token_count(self) -> int:
         return len(self.tokens)
 
-    @property
-    def analyzable(self) -> bool:
-        return len(self.tokens) > 0
-
 
 @dataclass(slots=True)
 class LogicalBlock:

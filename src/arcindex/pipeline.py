@@ -1,14 +1,12 @@
 """End-to-end orchestration: documents in, catalogue out.
 
-The per-book stage (characters, interactions, pivots, series) is
-embarrassingly parallel and can fan out over worker processes; the
-corpus stages (similarity matrix, clustering, catalogue assembly) run
-in the parent process.
+The per-book stage (characters, interactions, pivots, series) runs once
+per document; the corpus stages (similarity matrix, clustering,
+catalogue assembly) then run over all of the resulting series.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -85,15 +83,11 @@ def analyze_book(doc: BookDocument, cfg: PipelineConfig,
     )
 
 
-def _analysis_task(doc, cfg, lexicon, aliases):
-    return analyze_book(doc, cfg, lexicon=lexicon, aliases=aliases)
-
-
 def analyze_corpus(docs, cfg: PipelineConfig,
                    lexicon: SentimentLexicon | None = None,
                    aliases: AliasTable | None = None,
                    skip_errors: bool = False):
-    """Analyze every document, optionally in parallel.
+    """Analyze every document, in order.
 
     Returns (analyses, failures); failures is a list of (book_id,
     message) and stays empty unless skip_errors is set, in which case
@@ -103,25 +97,28 @@ def analyze_corpus(docs, cfg: PipelineConfig,
     lexicon = lexicon or load_default_lexicon()
     analyses = []
     failures = []
-
-    def record(doc, outcome):
+    for doc in docs:
         try:
-            analyses.append(outcome())
+            analyses.append(analyze_book(doc, cfg, lexicon, aliases))
         except ArcIndexError as exc:
             if not skip_errors:
                 raise
             failures.append((doc.book_id, f"{type(exc).__name__}: {exc}"))
-
-    if cfg.jobs > 1 and len(docs) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            futures = [pool.submit(_analysis_task, doc, cfg, lexicon, aliases)
-                       for doc in docs]
-            for doc, future in zip(docs, futures):
-                record(doc, future.result)
-    else:
-        for doc in docs:
-            record(doc, lambda d=doc: analyze_book(d, cfg, lexicon, aliases))
     return analyses, failures
+
+
+def _cluster_corpus(docs, cfg, lexicon, aliases, skip_errors=False):
+    """Analyze, score every pair and cluster: the one corpus driver.
+
+    Returns (analyses, failures, matrix, clusters, dynamic threshold,
+    merge trace).
+    """
+    analyses, failures = analyze_corpus(docs, cfg, lexicon=lexicon,
+                                        aliases=aliases, skip_errors=skip_errors)
+    series_list = [a.series for a in analyses]
+    matrix = spsi_matrix(series_list, cfg.length_ratio_limit)
+    clusters, dt, trace = cluster_series(series_list, cfg, matrix=matrix)
+    return analyses, failures, matrix, clusters, dt, trace
 
 
 @dataclass
@@ -140,13 +137,10 @@ def build_from_documents(docs, cfg: PipelineConfig,
                          aliases: AliasTable | None = None,
                          skip_errors: bool = False) -> CorpusResult:
     """Documents to searchable catalogue in one pass."""
-    analyses, failures = analyze_corpus(docs, cfg, lexicon=lexicon,
-                                        aliases=aliases, skip_errors=skip_errors)
-    series_list = [a.series for a in analyses]
-    matrix = spsi_matrix(series_list, cfg.length_ratio_limit)
-    clusters, dt, trace = cluster_series(series_list, cfg, matrix=matrix)
+    analyses, failures, matrix, clusters, dt, trace = _cluster_corpus(
+        docs, cfg, lexicon, aliases, skip_errors)
     book_meta = {a.book_id: (a.title, a.author) for a in analyses}
-    catalogue = build_catalogue(clusters, {s.book_id: s for s in series_list},
+    catalogue = build_catalogue(clusters, {a.book_id: a.series for a in analyses},
                                 cfg, book_meta)
     return CorpusResult(
         analyses=analyses,
@@ -194,10 +188,7 @@ def evaluate(docs, labels: dict, cfg: PipelineConfig,
     matrix because cosine and progression similarity live on different
     scales.
     """
-    analyses, _ = analyze_corpus(docs, cfg, lexicon=lexicon, aliases=aliases)
-    series_list = [a.series for a in analyses]
-    matrix = spsi_matrix(series_list, cfg.length_ratio_limit)
-    clusters, dt, _trace = cluster_series(series_list, cfg, matrix=matrix)
+    _, _, _, clusters, dt, _ = _cluster_corpus(docs, cfg, lexicon, aliases)
     partition = [list(c.members) for c in clusters]
     progression = agreement(partition, labels, method="sentiment-progression")
 

@@ -21,14 +21,14 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from math import fsum, log1p, sqrt
 
 from .errors import DegenerateSeries, LengthMismatch
-from .series import align_lengths
+from .series import SentimentSeries, align_lengths
 
 __all__ = [
-    "SpsiBreakdown", "SimilarityMatrix", "combined_series",
-    "probable_sentiment", "correction_factor", "sentiment_distance",
-    "spsi", "spsi_breakdown", "spsi_matrix", "write_matrix_csv",
+    "SpsiBreakdown", "SimilarityMatrix", "score", "spsi", "spsi_breakdown",
+    "spsi_matrix", "write_matrix_csv",
 ]
 
 
@@ -39,58 +39,30 @@ def _check_pair(s1, s2):
         raise DegenerateSeries("series must have at least 2 points")
 
 
-def combined_series(s1, s2) -> list:
-    """RS: the element-wise sum of the two series."""
-    _check_pair(s1, s2)
-    return [a + b for a, b in zip(s1, s2)]
+def _evaluate(s1, s2) -> tuple:
+    """(rs, ps, cf, n, sd, spsi) of s1 against s2, in the passed order.
 
-
-def probable_sentiment(s1, rs) -> float:
-    """PS: the share of the combined mass contributed by the first series."""
-    total = math.fsum(rs)
-    if total == 0.0:
-        raise DegenerateSeries("both series are all-zero; SPSI is 1 by definition")
-    return math.fsum(s1) / total
-
-
-def correction_factor(s1, rs, ps: float) -> list:
-    """Per-point deviation of S1 from its expected share PS * RS.
-
-    Points where RS is 0 carry no mass and contribute 0 rather than a
-    0/0 singularity.
+    A point where RS is 0 carries no mass and gets CF 0, not 0/0. When
+    one series is all-zero (or numerically indistinguishable from it),
+    PS sits on 0 or 1; every CF tends to 0 there, so all CFs are 0 and
+    the continuous extension of the formula, 1, comes out. Two all-zero
+    series take PS = 0.5 and score 1 the same way.
     """
-    out = []
-    for value, combined in zip(s1, rs):
-        if combined == 0.0:
-            out.append(0.0)
-        else:
-            out.append((ps * combined - value) / math.sqrt(combined * ps * (1.0 - ps)))
-    return out
-
-
-def sentiment_distance(cf, rs) -> float:
-    """SD: the sqrt(RS)-weighted mean of squared correction factors."""
-    weights = [math.sqrt(r) for r in rs]
-    denom = math.fsum(weights)
-    if denom == 0.0:
-        return 0.0
-    return math.fsum(c * c * w for c, w in zip(cf, weights)) / denom
-
-
-def _evaluate(s1, s2) -> float:
-    rs = combined_series(s1, s2)
-    total = math.fsum(rs)
-    if total == 0.0:
-        return 1.0
-    ps = math.fsum(s1) / total
-    if ps <= 0.0 or ps >= 1.0:
-        # One series is all-zero (or numerically indistinguishable from
-        # it). As PS approaches the boundary every CF tends to 0, so the
-        # continuous extension of the formula is 1.
-        return 1.0
-    cf = correction_factor(s1, rs, ps)
-    sd = sentiment_distance(cf, rs)
-    return 1.0 / (1.0 + math.log1p(sd))
+    rs = [a + b for a, b in zip(s1, s2)]
+    total = fsum(rs)
+    ps = fsum(s1) / total if total != 0.0 else 0.5
+    n = [sqrt(r) for r in rs]
+    if total == 0.0 or ps <= 0.0 or ps >= 1.0:
+        cf = [0.0] * len(rs)
+    else:
+        # A tiny RS (around 1e-200 and below) can underflow the product
+        # to 0; the factored root then keeps the denominator nonzero.
+        cf = [0.0 if r == 0.0 else
+              (ps * r - v) / (sqrt(r * ps * (1.0 - ps)) or sqrt(r) * sqrt(ps * (1.0 - ps)))
+              for v, r in zip(s1, rs)]
+    denom = fsum(n)
+    sd = fsum([c * c * w for c, w in zip(cf, n)]) / denom if denom != 0.0 else 0.0
+    return rs, ps, cf, n, sd, 1.0 / (1.0 + log1p(sd))
 
 
 def spsi(s1, s2) -> float:
@@ -104,7 +76,17 @@ def spsi(s1, s2) -> float:
     _check_pair(a, b)
     if b < a:
         a, b = b, a
-    return _evaluate(a, b)
+    return _evaluate(a, b)[-1]
+
+
+def score(s1: SentimentSeries, s2: SentimentSeries, ratio_limit: float = 0.3) -> float:
+    """SPSI of two series after aligning them to a common length.
+
+    Every pairwise score of the pipeline (matrix, clustering, catalogue
+    distances and search) goes through here.
+    """
+    a, b = align_lengths(s1, s2, ratio_limit)
+    return spsi(a.values(), b.values())
 
 
 @dataclass(frozen=True)
@@ -125,18 +107,8 @@ class SpsiBreakdown:
 def spsi_breakdown(s1, s2) -> SpsiBreakdown:
     a = list(s1)
     b = list(s2)
-    rs = combined_series(a, b)
-    total = math.fsum(rs)
-    if total == 0.0:
-        n = [0.0] * len(rs)
-        return SpsiBreakdown(rs=rs, ps=0.5, cf=[0.0] * len(rs), n=n, sd=0.0, spsi=1.0)
-    ps = math.fsum(a) / total
-    if ps <= 0.0 or ps >= 1.0:
-        cf = [0.0] * len(rs)
-    else:
-        cf = correction_factor(a, rs, ps)
-    n = [math.sqrt(r) for r in rs]
-    sd = sentiment_distance(cf, rs)
+    _check_pair(a, b)
+    rs, ps, cf, n, sd, _ = _evaluate(a, b)
     return SpsiBreakdown(rs=rs, ps=ps, cf=cf, n=n, sd=sd, spsi=spsi(a, b))
 
 
@@ -147,11 +119,6 @@ class SimilarityMatrix:
 
     def __len__(self) -> int:
         return len(self.book_ids)
-
-    def value(self, id_a, id_b) -> float:
-        i = self.book_ids.index(id_a)
-        j = self.book_ids.index(id_b)
-        return self.values[i][j]
 
     def off_diagonal(self) -> list:
         """Upper-triangle entries, row by row."""
@@ -167,15 +134,14 @@ def spsi_matrix(series_list, ratio_limit: float = 0.3) -> SimilarityMatrix:
     values = [[1.0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            a, b = align_lengths(series_list[i], series_list[j], ratio_limit)
             try:
-                score = spsi(a.values(), b.values())
+                value = score(series_list[i], series_list[j], ratio_limit)
             except (LengthMismatch, DegenerateSeries) as exc:
                 raise type(exc)(
                     f"pair ({series_list[i].book_id}, {series_list[j].book_id}): {exc}"
                 ) from exc
-            values[i][j] = score
-            values[j][i] = score
+            values[i][j] = value
+            values[j][i] = value
     return SimilarityMatrix(book_ids=[s.book_id for s in series_list], values=values)
 
 

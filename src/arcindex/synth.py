@@ -172,8 +172,6 @@ GENRES = (
 class GenSpec:
     seed: int = 1207
     books_per_archetype: int = 25
-    characters_per_book: int = 3        # core characters planted per book
-    tokens_per_book: int = BLOCKS_PER_BOOK * TOKENS_PER_BLOCK
     sigma: float = 0.05
     templates: tuple = DEFAULT_TEMPLATES
 

@@ -72,16 +72,6 @@ def test_summary_vectors_fall_back_to_body_text():
     assert "wind" in vectors["b2"]
 
 
-def test_summary_vectors_can_force_full_text():
-    docs = [
-        _doc("b1", body="wind over the water", summary="a quiet harbor tale"),
-        _doc("b2", body="sun on the hill"),
-    ]
-    vectors = baseline2_vectors(docs, use_full_text=True)
-    assert "wind" in vectors["b1"]
-    assert "harbor" not in vectors["b1"]
-
-
 def test_summary_vectors_need_some_text():
     docs = [_doc("b1")]
     with pytest.raises(MissingText, match="b1"):

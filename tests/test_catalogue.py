@@ -128,6 +128,40 @@ def test_load_rejects_non_finite_numbers(tmp_path, constant):
         load(path)
 
 
+@pytest.mark.parametrize("where", ["position", "value", "distance", "representative"])
+def test_load_rejects_overflowing_numbers(tmp_path, where):
+    path = tmp_path / "catalogue.json"
+    save(_toy_catalogue(), path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    if where == "distance":
+        payload["entries"][0]["distance"] = 12345.678
+    elif where == "representative":
+        payload["clusters"][0]["representative"][0]["value"] = 12345.678
+    else:
+        payload["entries"][0]["series"][0][where] = 12345.678
+    # json.loads reads 1e999 as inf without consulting parse_constant.
+    path.write_text(json.dumps(payload).replace("12345.678", "1e999"), encoding="utf-8")
+    with pytest.raises(FormatError, match="non-finite"):
+        load(path)
+
+
+def test_failed_save_keeps_the_old_file_and_leaves_no_temp_file(tmp_path, monkeypatch):
+    path = tmp_path / "catalogue.json"
+    save(_toy_catalogue(), path)
+    before = path.read_bytes()
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("arcindex.catalogue.os.replace", fail)
+    cat = _toy_catalogue()
+    cat.entries = cat.entries[:1]
+    with pytest.raises(OSError, match="disk full"):
+        save(cat, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["catalogue.json"]
+
+
 def test_load_rejects_missing_version(tmp_path):
     path = tmp_path / "no-version.json"
     path.write_text(json.dumps({"clusters": [], "entries": []}), encoding="utf-8")

@@ -263,6 +263,20 @@ def test_non_finite_inputs_are_data_errors(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_search_rejects_an_overflowing_catalogue_number(cli_corpus, tmp_path, capsys):
+    catalogue = tmp_path / "catalogue.json"
+    assert main(["index", str(cli_corpus), "-o", str(catalogue)] + SET_BLOCKS) == 0
+    payload = json.loads(catalogue.read_text(encoding="utf-8"))
+    book_id = payload["entries"][0]["book_id"]
+    payload["entries"][0]["series"][0]["value"] = 12345.678
+    catalogue.write_text(json.dumps(payload).replace("12345.678", "1e999"), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["search", "--catalogue", str(catalogue), "--like", book_id]) == 2
+    err = capsys.readouterr().err
+    assert "non-finite" in err
+    assert "Traceback" not in err
+
+
 def test_synth_is_deterministic_across_runs(tmp_path, capsys):
     one = tmp_path / "one"
     two = tmp_path / "two"

@@ -28,7 +28,6 @@ def test_defaults_pass_validation():
     ("dt", 0.0),
     ("dt", 1.0),
     ("length_ratio_limit", 0.0),
-    ("jobs", 0),
 ])
 def test_out_of_range_values_are_rejected(field, value):
     cfg = PipelineConfig(**{field: value})
@@ -61,6 +60,8 @@ def test_parse_allows_comments_and_blank_lines():
 def test_parse_rejects_unknown_keys_with_line_number():
     with pytest.raises(ConfigError, match="line 2.*blocksize"):
         parse_config_text("dt = 0.5\nblocksize = 100\n")
+    with pytest.raises(ConfigError, match="line 1.*jobs"):
+        parse_config_text("jobs = 2\n")
 
 
 def test_parse_rejects_bad_syntax_with_line_number():
@@ -95,7 +96,7 @@ def test_format_parse_round_trip():
 
 def test_load_config_reads_files(tmp_path):
     path = tmp_path / "run.cfg"
-    path.write_text("block_size = 150\njobs = 2\n", encoding="utf-8")
+    path.write_text("block_size = 150\nmax_pivots = 12\n", encoding="utf-8")
     cfg = load_config(path)
     assert cfg.block_size == 150
-    assert cfg.jobs == 2
+    assert cfg.max_pivots == 12

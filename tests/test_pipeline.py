@@ -1,12 +1,19 @@
 import json
+import os
+import subprocess
+import sys
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+import arcindex
 from arcindex.errors import CoreExtractionError, FormatError
 from arcindex.ingest import BookDocument, tokenize
 from arcindex.pipeline import (analyze_book, analyze_corpus, build_from_documents,
                                evaluate, load_corpus_dir, load_labels)
-from arcindex.synth import write_corpus
+from arcindex.similarity import score
+from arcindex.synth import DEFAULT_TEMPLATES, ArcTemplate, GenSpec, generate, write_corpus
 
 
 def _label_groups(labels):
@@ -35,17 +42,6 @@ def test_analyze_book_reports_structure_and_context(synth_small, synth_cfg):
         assert context[pivot.block_index].interacting
 
 
-def test_parallel_analysis_matches_serial(synth_small, synth_cfg):
-    serial, _ = analyze_corpus(synth_small.documents, synth_cfg)
-    parallel, _ = analyze_corpus(synth_small.documents, synth_cfg.replace(jobs=2))
-    assert [a.book_id for a in serial] == [a.book_id for a in parallel]
-    for one, two in zip(serial, parallel):
-        assert one.core == two.core
-        assert one.pair == two.pair
-        assert one.pivots == two.pivots
-        assert one.series.points == two.series.points
-
-
 def test_skip_errors_collects_failures_instead_of_raising(synth_small, synth_cfg):
     bad = BookDocument(book_id="bad", title="Bad",
                        tokens=tokenize("no names in this text at all. " * 100))
@@ -72,6 +68,31 @@ def test_build_from_documents_clusters_by_archetype(synth_small, synth_outcome,
     assert len(result.catalogue.entries) == 6
     assert result.dynamic_threshold == synth_cfg.dt
     assert result.merge_trace
+
+
+def test_matrix_entries_equal_the_pair_scorer(synth_cfg):
+    # Series of 12, 11 and 7 points: pairs take the equal-length,
+    # interpolated and secondary-pivot alignment routes.
+    templates = tuple(ArcTemplate(t.archetype_id, t.name, t.description, t.values[:k])
+                      for t, k in zip(DEFAULT_TEMPLATES, (12, 10, 7)))
+    docs = generate(GenSpec(seed=31, books_per_archetype=2, templates=templates)).documents
+    result = build_from_documents(docs, synth_cfg)
+    series = [a.series for a in result.analyses]
+    assert result.matrix.book_ids == [s.book_id for s in series]
+    assert len({len(s) for s in series}) == 3
+    for i, j in combinations(range(len(series)), 2):
+        expected = score(series[i], series[j], synth_cfg.length_ratio_limit)
+        assert result.matrix.values[i][j] == expected
+        assert result.matrix.values[j][i] == expected
+
+
+def test_import_starts_no_process_machinery():
+    code = ("import sys, arcindex; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    env = {**os.environ, "PYTHONPATH": str(Path(arcindex.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 def test_evaluate_scores_progression_and_baselines(synth_small, synth_cfg):

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arcindex.errors import DegenerateSeries, LengthMismatch
 from arcindex.series import SentimentSeries, SeriesPoint
@@ -89,6 +91,32 @@ def test_zero_combined_entry_contributes_nothing():
     assert br.cf[0] == 0.0
     assert br.n[0] == 0.0
     assert br.spsi == 1.0
+
+
+def _value_pairs():
+    """Equal-length value lists on [0, 1], exact zeros and all-zero lists included."""
+    value = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+    return st.integers(2, 14).flatmap(
+        lambda n: st.tuples(st.lists(value, min_size=n, max_size=n),
+                            st.lists(value, min_size=n, max_size=n)
+                            | st.just([0.0] * n)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_value_pairs())
+def test_breakdown_value_is_the_canonical_spsi_bit_for_bit(pair):
+    a, b = pair
+    value = spsi(a, b).hex()
+    assert spsi_breakdown(a, b).spsi.hex() == value
+    assert spsi_breakdown(b, a).spsi.hex() == value
+
+
+@pytest.mark.parametrize("tiny", [5e-324, 1e-200])
+def test_underflowing_combined_entry_still_scores(tiny):
+    # r * ps * (1 - ps) underflows to 0 at the second point.
+    value = spsi([0.0, tiny], [1.0, 0.0])
+    assert value == spsi([1.0, 0.0], [0.0, tiny])
+    assert value == pytest.approx(1.0)
 
 
 def test_length_mismatch_raises():
