@@ -13,9 +13,8 @@ from .baselines import (AgreementReport, agreement, baseline1_vectors,
 from .catalogue import (FORMAT_VERSION, Catalogue, CatalogueEntry, IndexCluster,
                         build_catalogue, load, nearest_cluster, quantize, save,
                         search_similar)
-from .characters import (CharacterProfile, CoOccurrenceEdge, CoreCharacterSet,
-                         co_occurrence, extract_characters, select_core,
-                         select_prime)
+from .characters import (CharacterProfile, CoOccurrenceEdge, co_occurrence,
+                         extract_characters, select_core, select_prime)
 from .clustering import (Cluster, cluster_matrix, cluster_report, cluster_series,
                          resolve_threshold)
 from .config import PipelineConfig, format_config, load_config, parse_config_text
@@ -23,10 +22,10 @@ from .errors import (AliasError, ArcIndexError, ConfigError, CoreExtractionError
                      DegenerateSeries, EmptyCatalogue, EmptyDocument, FormatError,
                      LengthMismatch, LexiconError, MissingLabel, MissingText,
                      NoPivots, TooFewPivots, UnknownBook, VersionError)
-from .ingest import (AliasTable, BookDocument, LogicalBlock, SentimentLexicon,
-                     Token, load_aliases, load_cmu_summaries, load_default_lexicon,
-                     load_lexicon, load_plain_text, load_store, save_store,
-                     segment_blocks, tokenize)
+from .ingest import (AliasTable, BookDocument, LogicalBlock, Tokens, load_aliases,
+                     load_cmu_summaries, load_default_lexicon, load_lexicon,
+                     load_plain_text, load_store, save_store, segment_blocks,
+                     tokenize)
 from .pipeline import (BookAnalysis, CorpusResult, EvaluationReport, analyze_book,
                        analyze_corpus, build_from_documents, evaluate,
                        load_corpus_dir, load_labels)

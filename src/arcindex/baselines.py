@@ -59,7 +59,7 @@ def baseline1_vectors(docs) -> dict:
         if doc.author:
             parts.append(doc.author)
         parts.extend(doc.metadata.get("genres", []))
-        bags[doc.book_id] = _bag(t.text for t in tokenize(" ".join(parts)))
+        bags[doc.book_id] = _bag(tokenize(" ".join(parts)).text)
     return _tfidf(bags)
 
 
@@ -69,9 +69,9 @@ def baseline2_vectors(docs) -> dict:
     for doc in docs:
         summary = doc.metadata.get("summary")
         if summary:
-            tokens = [t.text for t in tokenize(summary)]
+            tokens = tokenize(summary).text
         elif doc.tokens:
-            tokens = [t.text for t in doc.tokens]
+            tokens = doc.tokens.text
         else:
             raise MissingText(f"{doc.book_id}: no summary and no body text")
         bags[doc.book_id] = _bag(tokens)

@@ -126,6 +126,8 @@ def _series_from_payload(book_id: str, payload) -> SentimentSeries:
         value = float(p["value"])
         if not (isfinite(position) and isfinite(value)):
             raise ValueError(f"non-finite point in the series of {book_id!r}")
+        if value < 0.0:
+            raise ValueError(f"negative value in the series of {book_id!r}")
         points.append(SeriesPoint(position, value, p.get("provenance", PRIMARY)))
     return SentimentSeries(book_id=book_id, points=points)
 

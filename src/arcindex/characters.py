@@ -17,7 +17,7 @@ from .errors import CoreExtractionError
 from .ingest import AliasTable, BookDocument
 
 __all__ = [
-    "CharacterProfile", "CoOccurrenceEdge", "CoreCharacterSet",
+    "CharacterProfile", "CoOccurrenceEdge",
     "extract_characters", "select_prime", "co_occurrence", "select_core",
 ]
 
@@ -37,36 +37,23 @@ class CoOccurrenceEdge:
     normalized_weight: float
 
 
-@dataclass
-class CoreCharacterSet:
-    members: frozenset
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.members
-
-    def __iter__(self):
-        return iter(sorted(self.members))
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-
 def _capitalized_runs(tokens):
-    """Yield (start_index, run_token_list) for maximal capitalized runs.
+    """Yield (start, end) token offsets of maximal capitalized runs.
 
     A sentence-start token always begins a new run, so names separated
     only by a sentence boundary are not glued together.
     """
+    capitalized, starts = tokens.capitalized, tokens.sentence_start
     i = 0
-    n = len(tokens)
+    n = len(capitalized)
     while i < n:
-        if not tokens[i].capitalized:
+        if not capitalized[i]:
             i += 1
             continue
         j = i + 1
-        while j < n and tokens[j].capitalized and not tokens[j].sentence_start:
+        while j < n and capitalized[j] and not starts[j]:
             j += 1
-        yield i, tokens[i:j]
+        yield i, j
         i = j
 
 
@@ -81,9 +68,9 @@ def extract_characters(doc: BookDocument, aliases: AliasTable | None = None) -> 
     """
     runs = []                 # (start_index, token texts, sentence_initial)
     validated = set()         # surface forms seen capitalized mid-sentence
-    for start, run in _capitalized_runs(doc.tokens):
-        texts = tuple(t.text for t in run)
-        initial = run[0].sentence_start
+    for start, end in _capitalized_runs(doc.tokens):
+        texts = tuple(doc.tokens.text[start:end])
+        initial = doc.tokens.sentence_start[start]
         runs.append((start, texts, initial))
         if not initial:
             surface = " ".join(texts)
@@ -146,7 +133,7 @@ def _pair_window_count(positions_a, positions_b, window: int) -> int:
     return count
 
 
-def co_occurrence(doc: BookDocument, primes, window: int) -> list:
+def co_occurrence(primes, window: int) -> list:
     """Windowed co-mention edges between prime characters.
 
     raw_weight counts mention pairs at most ``window`` tokens apart;
@@ -171,7 +158,7 @@ def co_occurrence(doc: BookDocument, primes, window: int) -> list:
     return edges
 
 
-def select_core(primes, edges, edge_threshold: float) -> CoreCharacterSet:
+def select_core(primes, edges, edge_threshold: float) -> frozenset:
     """Prime characters with at least one strong edge to another prime.
 
     Falls back to the top two primes when no edge clears the threshold,
@@ -187,4 +174,4 @@ def select_core(primes, edges, edge_threshold: float) -> CoreCharacterSet:
     members = connected & prime_names
     if not members:
         members = {p.canonical_name for p in primes[:2]}
-    return CoreCharacterSet(members=frozenset(members))
+    return frozenset(members)

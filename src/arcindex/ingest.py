@@ -1,10 +1,10 @@
 """Corpus ingestion: tokenization, logical blocks, lexicon and alias files.
 
-Tokens keep their text lowercased with two flags recorded at split time:
-whether the original surface form was capitalized, and whether the token
-opens a sentence. Character mining needs the first, sentiment lookup the
-lowercase text, and the sentence flag keeps ordinary sentence-initial
-capitals from looking like names.
+A document's tokens are three parallel columns: the lowercased text,
+whether the original surface form was capitalized, and whether the
+token opens a sentence. Character mining needs the second, sentiment
+lookup the lowercase text, and the sentence flag keeps ordinary
+sentence-initial capitals from looking like names.
 """
 
 from __future__ import annotations
@@ -12,27 +12,33 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import AliasError, ConfigError, EmptyDocument, LexiconError
+from .errors import AliasError, ConfigError, EmptyDocument, FormatError, LexiconError
 
 _WORD_RE = re.compile(r"\w+(?:['’]\w+)*", re.UNICODE)
 _SENTENCE_END = frozenset(".!?")
 
 
 @dataclass(slots=True)
-class Token:
-    text: str               # lowercased surface form
-    capitalized: bool       # original form started with an uppercase letter
-    sentence_start: bool    # first token of the text or follows ., ! or ?
+class Tokens:
+    """One document's token stream, stored column by column."""
+
+    text: list              # lowercased surface forms, interned
+    capitalized: list       # original form started with an uppercase letter
+    sentence_start: list    # first token of the text or follows ., ! or ?
+
+    def __len__(self) -> int:
+        return len(self.text)
 
 
 @dataclass
 class BookDocument:
     book_id: str
     title: str
-    tokens: list
+    tokens: Tokens
     author: str | None = None
     language: str = "en"
     metadata: dict = field(default_factory=dict)
@@ -49,7 +55,7 @@ class LogicalBlock:
     end: int     # exclusive token offset
 
 
-def tokenize(text: str) -> list:
+def tokenize(text: str) -> Tokens:
     """Split text into Tokens, dropping punctuation but remembering it.
 
     Words are maximal ``\\w`` runs; internal apostrophes keep contractions
@@ -57,21 +63,16 @@ def tokenize(text: str) -> list:
     containing ``.``, ``!`` or ``?`` separates it from the previous word
     (the very first token of a text counts too).
     """
-    tokens = []
+    texts, capitalized, starts = [], [], []
+    intern = sys.intern
     last_end = 0
-    first = True
     for match in _WORD_RE.finditer(text):
-        gap = text[last_end:match.start()]
-        starts_sentence = first or any(ch in _SENTENCE_END for ch in gap)
         surface = match.group(0)
-        tokens.append(Token(
-            text=surface.lower(),
-            capitalized=surface[0].isupper(),
-            sentence_start=starts_sentence,
-        ))
+        starts.append(not starts or not _SENTENCE_END.isdisjoint(text[last_end:match.start()]))
+        texts.append(intern(surface.lower()))
+        capitalized.append(surface[0].isupper())
         last_end = match.end()
-        first = False
-    return tokens
+    return Tokens(texts, capitalized, starts)
 
 
 def load_plain_text(path, book_id: str, title: str | None = None,
@@ -154,26 +155,9 @@ def segment_blocks(doc: BookDocument, block_size: int) -> list:
     ]
 
 
-class SentimentLexicon:
-    """Lowercased term -> polarity in [-1, 1]."""
-
-    def __init__(self, entries: dict, duplicate_count: int = 0):
-        self.entries = entries
-        self.duplicate_count = duplicate_count
-
-    def get(self, token_text: str):
-        return self.entries.get(token_text)
-
-    def __contains__(self, token_text: str) -> bool:
-        return token_text in self.entries
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-def load_lexicon(path) -> SentimentLexicon:
+def load_lexicon(path) -> dict:
+    """Lowercased term -> polarity in [-1, 1]; a repeated term's last entry wins."""
     entries = {}
-    duplicates = 0
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             body = line.split("#", 1)[0].strip()
@@ -189,26 +173,24 @@ def load_lexicon(path) -> SentimentLexicon:
                 raise LexiconError(f"line {line_no}: polarity {raw_polarity!r} is not a number", line_no)
             if not -1.0 <= polarity <= 1.0:
                 raise LexiconError(f"line {line_no}: polarity {polarity} outside [-1, 1]", line_no)
-            if term in entries:
-                duplicates += 1
             entries[term] = polarity
-    return SentimentLexicon(entries, duplicate_count=duplicates)
+    return entries
 
 
 def default_lexicon_path() -> Path:
     return Path(__file__).parent / "data" / "default_lexicon.tsv"
 
 
-def load_default_lexicon() -> SentimentLexicon:
+def load_default_lexicon() -> dict:
     return load_lexicon(default_lexicon_path())
 
 
 STORE_FORMAT = "arcindex-store"
-STORE_VERSION = "1.0"
+STORE_VERSION = "2.0"
 
 
 def save_store(docs, path) -> None:
-    """Persist normalized documents as JSON; tokens as compact triples."""
+    """Persist normalized documents as JSON, tokens as three columns."""
     payload = {
         "format": STORE_FORMAT,
         "version": STORE_VERSION,
@@ -219,8 +201,11 @@ def save_store(docs, path) -> None:
                 "author": d.author,
                 "language": d.language,
                 "metadata": d.metadata,
-                "tokens": [[t.text, int(t.capitalized), int(t.sentence_start)]
-                           for t in d.tokens],
+                "tokens": {
+                    "text": d.tokens.text,
+                    "capitalized": [int(c) for c in d.tokens.capitalized],
+                    "sentence_start": [int(s) for s in d.tokens.sentence_start],
+                },
             }
             for d in docs
         ],
@@ -231,9 +216,19 @@ def save_store(docs, path) -> None:
         fh.write(text)
 
 
-def load_store(path) -> list:
-    from .errors import FormatError
+def _tokens_from_payload(columns) -> Tokens:
+    text, capitalized, starts = (columns[k] for k in ("text", "capitalized", "sentence_start"))
+    if not all(isinstance(c, list) for c in (text, capitalized, starts)):
+        raise TypeError("token columns must be lists")
+    if not len(text) == len(capitalized) == len(starts):
+        raise ValueError("token columns differ in length")
+    if not set(capitalized + starts) <= {0, 1}:
+        raise ValueError("token flags must be 0 or 1")
+    return Tokens(list(map(sys.intern, text)), [c == 1 for c in capitalized],
+                  [s == 1 for s in starts])
 
+
+def load_store(path) -> list:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
@@ -241,6 +236,9 @@ def load_store(path) -> list:
             raise FormatError(f"{path}: invalid JSON: {exc}", offset=exc.pos)
     if not isinstance(payload, dict) or payload.get("format") != STORE_FORMAT:
         raise FormatError(f"{path}: not a document store")
+    if payload.get("version") != STORE_VERSION:
+        raise FormatError(f"{path}: store version {payload.get('version')!r} is not "
+                          f"{STORE_VERSION!r}; re-run arcindex ingest on the source text")
     try:
         return [
             BookDocument(
@@ -249,13 +247,11 @@ def load_store(path) -> list:
                 author=d.get("author"),
                 language=d.get("language", "en"),
                 metadata=d.get("metadata") or {},
-                tokens=[Token(text=t[0], capitalized=bool(t[1]),
-                              sentence_start=bool(t[2]))
-                        for t in d["tokens"]],
+                tokens=_tokens_from_payload(d["tokens"]),
             )
             for d in payload["documents"]
         ]
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: malformed document store: {exc}")
 
 

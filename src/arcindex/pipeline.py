@@ -17,9 +17,8 @@ from .characters import co_occurrence, extract_characters, select_core, select_p
 from .clustering import cluster_series, resolve_threshold
 from .config import PipelineConfig
 from .errors import ArcIndexError, FormatError
-from .ingest import (AliasTable, BookDocument, SentimentLexicon, load_aliases,
-                     load_cmu_summaries, load_default_lexicon, load_plain_text,
-                     segment_blocks)
+from .ingest import (AliasTable, BookDocument, load_aliases, load_cmu_summaries,
+                     load_default_lexicon, load_plain_text, segment_blocks)
 from .pivots import block_sentiments, compute_interactions, predominant_pair, smooth
 from .series import ContextBlock, SentimentSeries, build_series
 from .similarity import SimilarityMatrix, spsi_matrix
@@ -44,14 +43,14 @@ class BookAnalysis:
 
 
 def analyze_book(doc: BookDocument, cfg: PipelineConfig,
-                 lexicon: SentimentLexicon | None = None,
+                 lexicon: dict | None = None,
                  aliases: AliasTable | None = None) -> BookAnalysis:
     """Run the per-book stages and produce the book's sentiment series."""
     lexicon = lexicon or load_default_lexicon()
     blocks = segment_blocks(doc, cfg.block_size)
     profiles = extract_characters(doc, aliases)
     primes = select_prime(profiles, cfg.prime_max, cfg.min_mentions)
-    edges = co_occurrence(doc, primes, cfg.window)
+    edges = co_occurrence(primes, cfg.window)
     core = select_core(primes, edges, cfg.edge_threshold)
     core_profiles = [p for p in profiles if p.canonical_name in core]
     interactions = compute_interactions(core_profiles, cfg.window,
@@ -84,7 +83,7 @@ def analyze_book(doc: BookDocument, cfg: PipelineConfig,
 
 
 def analyze_corpus(docs, cfg: PipelineConfig,
-                   lexicon: SentimentLexicon | None = None,
+                   lexicon: dict | None = None,
                    aliases: AliasTable | None = None,
                    skip_errors: bool = False):
     """Analyze every document, in order.
@@ -133,7 +132,7 @@ class CorpusResult:
 
 
 def build_from_documents(docs, cfg: PipelineConfig,
-                         lexicon: SentimentLexicon | None = None,
+                         lexicon: dict | None = None,
                          aliases: AliasTable | None = None,
                          skip_errors: bool = False) -> CorpusResult:
     """Documents to searchable catalogue in one pass."""
@@ -179,7 +178,7 @@ class EvaluationReport:
 
 
 def evaluate(docs, labels: dict, cfg: PipelineConfig,
-             lexicon: SentimentLexicon | None = None,
+             lexicon: dict | None = None,
              aliases: AliasTable | None = None) -> EvaluationReport:
     """Cluster three ways and score each against reference labels.
 

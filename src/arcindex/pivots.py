@@ -14,7 +14,7 @@ from itertools import combinations
 
 from .config import PipelineConfig
 from .errors import NoPivots
-from .ingest import BookDocument, SentimentLexicon
+from .ingest import BookDocument
 
 __all__ = [
     "PivotPoint", "block_sentiment", "block_sentiments", "smooth",
@@ -32,7 +32,7 @@ class PivotPoint:
     occurrence_weight: float   # normalized co-mention mass near the block
 
 
-def block_sentiment(block, doc: BookDocument, lexicon: SentimentLexicon,
+def block_sentiment(block, doc: BookDocument, lexicon: dict,
                     cfg: PipelineConfig) -> float:
     """Mean lexicon polarity of the block, rescaled to [0, 1].
 
@@ -40,8 +40,8 @@ def block_sentiment(block, doc: BookDocument, lexicon: SentimentLexicon,
     """
     total = 0.0
     hits = 0
-    for token in doc.tokens[block.start:block.end]:
-        polarity = lexicon.get(token.text)
+    for text in doc.tokens.text[block.start:block.end]:
+        polarity = lexicon.get(text)
         if polarity is not None:
             total += polarity
             hits += 1

@@ -197,6 +197,8 @@ def read_series_csv(path, book_id: str | None = None) -> SentimentSeries:
                 raise FormatError(f"{path}: row {row_no}: non-numeric position/value")
             if not (math.isfinite(position) and math.isfinite(value)):
                 raise FormatError(f"{path}: row {row_no}: non-finite position/value")
+            if value < 0.0:
+                raise FormatError(f"{path}: row {row_no}: negative value {value}")
             provenance = row[2].strip() if len(row) == 3 else PRIMARY
             if provenance not in _PROVENANCE:
                 raise FormatError(f"{path}: row {row_no}: unknown provenance {provenance!r}")

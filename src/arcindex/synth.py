@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .ingest import BookDocument, SentimentLexicon, load_default_lexicon, tokenize
+from .ingest import BookDocument, load_default_lexicon, tokenize
 
 __all__ = ["ArcTemplate", "GenSpec", "SynthResult", "DEFAULT_TEMPLATES",
            "generate", "write_corpus"]
@@ -207,9 +207,9 @@ class SynthResult:
     })
 
 
-def _tier_words(lexicon: SentimentLexicon) -> dict:
+def _tier_words(lexicon: dict) -> dict:
     tiers = {}
-    for term, polarity in lexicon.entries.items():
+    for term, polarity in lexicon.items():
         tenths = round(polarity * 10)
         if abs(polarity * 10 - tenths) < 1e-9:
             tiers.setdefault(tenths, []).append(term)
@@ -267,7 +267,7 @@ def _render(blocks) -> str:
 
 
 def generate(spec: GenSpec | None = None,
-             lexicon: SentimentLexicon | None = None) -> SynthResult:
+             lexicon: dict | None = None) -> SynthResult:
     spec = spec or GenSpec()
     lexicon = lexicon or load_default_lexicon()
     tiers = _tier_words(lexicon)

@@ -7,6 +7,8 @@ arcindex imports.
 """
 
 import math
+import re
+from dataclasses import dataclass
 from itertools import combinations
 
 
@@ -73,3 +75,33 @@ def ref_adaptive_threshold(pair_sims):
     mean = math.fsum(values) / len(values)
     var = math.fsum((v - mean) ** 2 for v in values) / len(values)
     return mean + 0.5 * math.sqrt(var)
+
+
+@dataclass(slots=True)
+class RefToken:
+    text: str               # lowercased surface form
+    capitalized: bool       # original form started with an uppercase letter
+    sentence_start: bool    # first token of the text or follows ., ! or ?
+
+
+_REF_WORD_RE = re.compile(r"\w+(?:['’]\w+)*", re.UNICODE)
+_REF_SENTENCE_END = frozenset(".!?")
+
+
+def ref_tokenize(text):
+    """One RefToken per word; ``tokenize``'s three columns must match these fields."""
+    tokens = []
+    last_end = 0
+    first = True
+    for match in _REF_WORD_RE.finditer(text):
+        gap = text[last_end:match.start()]
+        starts_sentence = first or any(ch in _REF_SENTENCE_END for ch in gap)
+        surface = match.group(0)
+        tokens.append(RefToken(
+            text=surface.lower(),
+            capitalized=surface[0].isupper(),
+            sentence_start=starts_sentence,
+        ))
+        last_end = match.end()
+        first = False
+    return tokens

@@ -145,6 +145,20 @@ def test_load_rejects_overflowing_numbers(tmp_path, where):
         load(path)
 
 
+@pytest.mark.parametrize("where", ["entry", "representative"])
+def test_load_rejects_negative_values(tmp_path, where):
+    path = tmp_path / "catalogue.json"
+    save(_toy_catalogue(), path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    if where == "entry":
+        payload["entries"][0]["series"][1]["value"] = -0.5
+    else:
+        payload["clusters"][0]["representative"][1]["value"] = -0.5
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(FormatError, match="negative"):
+        load(path)
+
+
 def test_failed_save_keeps_the_old_file_and_leaves_no_temp_file(tmp_path, monkeypatch):
     path = tmp_path / "catalogue.json"
     save(_toy_catalogue(), path)

@@ -85,7 +85,7 @@ def test_co_occurrence_counts_windowed_pairs():
     doc = _doc(" ".join(words))
     profiles = extract_characters(doc)
     primes = select_prime(profiles, prime_max=10, min_mentions=1)
-    edges = co_occurrence(doc, primes, window=50)
+    edges = co_occurrence(primes, window=50)
     edge = next(e for e in edges if e.pair == ("Anka", "Brok"))
     # qualifying pairs: (10,30) and (150,199); the cross pairs are too far
     assert edge.raw_weight == 2
@@ -102,7 +102,7 @@ def test_core_set_keeps_strongly_linked_primes():
     doc = _doc(" ".join(blocks))
     profiles = extract_characters(doc)
     primes = select_prime(profiles, prime_max=10, min_mentions=2)
-    edges = co_occurrence(doc, primes, window=8)
+    edges = co_occurrence(primes, window=8)
     core = select_core(primes, edges, edge_threshold=0.25)
     assert "Anka" in core and "Brok" in core
 

@@ -87,6 +87,16 @@ def test_ingest_then_characters_from_a_store(cli_corpus, tmp_path, capsys):
         assert sorted(entry["pair"]) == truth["books"][book_id]["pair"]
 
 
+def test_ingest_of_a_triple_format_store_is_a_data_error(tmp_path, capsys):
+    store = tmp_path / "old.json"
+    store.write_text('{"documents":[],"format":"arcindex-store","version":"1.0"}\n',
+                     encoding="utf-8")
+    assert main(["ingest", str(store)]) == 2
+    err = capsys.readouterr().err
+    assert "arcindex ingest" in err
+    assert "Traceback" not in err
+
+
 def test_ingest_reports_skipped_tsv_rows(tmp_path, capsys):
     tsv = tmp_path / "summaries.tsv"
     good = "1\tfb\tTitle\tAuthor\t1900\t{}\tA fine tale about Mira."
@@ -261,6 +271,21 @@ def test_non_finite_inputs_are_data_errors(tmp_path, capsys):
     series.write_text("0.0,0.2\n0.5,nan\n1.0,0.8\n", encoding="utf-8")
     assert main(["spsi", "--series-a", str(series), "--series-b", str(series)]) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_negative_series_values_are_data_errors(cli_corpus, tmp_path, capsys):
+    negative = tmp_path / "neg.csv"
+    negative.write_text("0.0,0.6\n0.5,-0.5\n1.0,0.3\n", encoding="utf-8")
+    positive = tmp_path / "pos.csv"
+    positive.write_text("0.0,0.5\n0.5,0.2\n1.0,0.3\n", encoding="utf-8")
+    assert main(["spsi", "--series-a", str(negative), "--series-b", str(positive)]) == 2
+    catalogue = tmp_path / "catalogue.json"
+    assert main(["index", str(cli_corpus), "-o", str(catalogue)] + SET_BLOCKS) == 0
+    capsys.readouterr()
+    assert main(["search", "--catalogue", str(catalogue), "--pattern", str(negative)]) == 2
+    err = capsys.readouterr().err
+    assert "negative" in err
+    assert "Traceback" not in err
 
 
 def test_search_rejects_an_overflowing_catalogue_number(cli_corpus, tmp_path, capsys):

@@ -1,6 +1,11 @@
 import json
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arcindex.config import PipelineConfig
 from arcindex.errors import (AliasError, ConfigError, EmptyDocument,
@@ -9,30 +14,44 @@ from arcindex.ingest import (AliasTable, BookDocument, load_aliases,
                              load_cmu_summaries, load_default_lexicon,
                              load_lexicon, load_plain_text, load_store,
                              save_store, segment_blocks, tokenize)
+from oracle_reference import ref_tokenize
+
+# Letters of any script and case, digits, and the characters that decide
+# word and sentence boundaries.
+TEXT = st.text(st.one_of(st.characters(categories=["Lu", "Ll", "Nd"]),
+                         st.sampled_from("_'’.!?, \t\n\u00a0\u2003")))
 
 
 def test_tokenize_lowercases_and_flags_capitals():
     tokens = tokenize("Mara walked. The dog saw Mara.")
-    texts = [t.text for t in tokens]
-    assert texts == ["mara", "walked", "the", "dog", "saw", "mara"]
-    assert tokens[0].capitalized and tokens[0].sentence_start
-    assert tokens[2].capitalized and tokens[2].sentence_start
-    assert tokens[5].capitalized and not tokens[5].sentence_start
+    assert tokens.text == ["mara", "walked", "the", "dog", "saw", "mara"]
+    assert tokens.capitalized[0] and tokens.sentence_start[0]
+    assert tokens.capitalized[2] and tokens.sentence_start[2]
+    assert tokens.capitalized[5] and not tokens.sentence_start[5]
 
 
 def test_tokenize_sentence_boundaries_need_terminators():
     tokens = tokenize("one two! three? four, five")
-    starts = [t.sentence_start for t in tokens]
-    assert starts == [True, False, True, True, False]
+    assert tokens.sentence_start == [True, False, True, True, False]
 
 
 def test_tokenize_keeps_contractions_whole():
     tokens = tokenize("Isn't Odette's coat here?")
-    assert [t.text for t in tokens] == ["isn't", "odette's", "coat", "here"]
+    assert tokens.text == ["isn't", "odette's", "coat", "here"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(TEXT)
+def test_tokenize_matches_the_per_token_reference(text):
+    tokens = tokenize(text)
+    ref = ref_tokenize(text)
+    assert tokens.text == [t.text for t in ref]
+    assert tokens.capitalized == [t.capitalized for t in ref]
+    assert tokens.sentence_start == [t.sentence_start for t in ref]
 
 
 def test_tokenize_empty_text():
-    assert tokenize("...") == []
+    assert len(tokenize("...")) == 0
 
 
 def test_load_plain_text_uses_stem_as_title(tmp_path):
@@ -122,8 +141,7 @@ def test_summary_tsv_keeps_tabs_inside_summary(tmp_path):
 def test_default_lexicon_loads_clean():
     lex = load_default_lexicon()
     assert len(lex) > 900
-    assert lex.duplicate_count == 0
-    assert all(-1.0 <= v <= 1.0 for v in lex.entries.values())
+    assert all(-1.0 <= v <= 1.0 for v in lex.values())
 
 
 def test_lexicon_parses_comments_and_counts_duplicates(tmp_path):
@@ -132,8 +150,7 @@ def test_lexicon_parses_comments_and_counts_duplicates(tmp_path):
                     encoding="utf-8")
     lex = load_lexicon(path)
     assert len(lex) == 2
-    assert lex.duplicate_count == 1
-    assert lex.get("happy") == 0.7
+    assert lex["happy"] == 0.7
 
 
 def test_lexicon_rejects_out_of_range_polarity(tmp_path):
@@ -187,8 +204,7 @@ def test_store_round_trip(tmp_path):
     assert len(back) == 2
     assert back[0].book_id == "b1"
     assert back[0].metadata == {"genres": ["G"]}
-    assert [(t.text, t.capitalized, t.sentence_start) for t in back[0].tokens] == \
-           [(t.text, t.capitalized, t.sentence_start) for t in docs[0].tokens]
+    assert back[0].tokens == docs[0].tokens
 
 
 def test_store_bytes_are_stable(tmp_path):
@@ -202,14 +218,70 @@ def test_store_bytes_are_stable(tmp_path):
     assert path.read_text(encoding="utf-8") == (
         '{"documents":[{"author":"A","book_id":"b1","language":"en",'
         '"metadata":{"genres":["G"],"pub_date":null},"title":"Caf\\u00e9 \\"Noir\\"",'
-        '"tokens":[["\\u00e9lise",1,1],["met",0,0],["bram",1,0],["bye",1,1]]},'
+        '"tokens":{"capitalized":[1,0,1,1],"sentence_start":[1,0,0,1],'
+        '"text":["\\u00e9lise","met","bram","bye"]}},'
         '{"author":null,"book_id":"b2","language":"en","metadata":{},"title":"Two",'
-        '"tokens":[["more",1,1],["words",0,0],["here",0,0]]}],'
-        '"format":"arcindex-store","version":"1.0"}\n')
+        '"tokens":{"capitalized":[1,0,0],"sentence_start":[1,0,0],'
+        '"text":["more","words","here"]}}],'
+        '"format":"arcindex-store","version":"2.0"}\n')
 
 
 def test_store_rejects_foreign_json(tmp_path):
     path = tmp_path / "other.json"
     path.write_text(json.dumps({"something": "else"}), encoding="utf-8")
     with pytest.raises(FormatError):
+        load_store(path)
+
+
+METADATA = st.dictionaries(st.text(max_size=8),
+                           st.one_of(st.none(), st.integers(), st.text(max_size=12),
+                                     st.lists(st.text(max_size=8), max_size=3)),
+                           max_size=3)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.tuples(st.text(max_size=12), st.text(max_size=12), TEXT,
+                          st.one_of(st.none(), st.text(max_size=12)), METADATA),
+                max_size=4))
+def test_store_round_trips_columns_and_metadata(books):
+    docs = [BookDocument(book_id=book_id, title=title, tokens=tokenize(text),
+                         author=author, metadata=metadata)
+            for book_id, title, text, author, metadata in books]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "store.json"
+        save_store(docs, path)
+        back = load_store(path)
+    assert back == docs
+    assert all(t is sys.intern(t) for d in back for t in d.tokens.text)
+
+
+V1_STORE = ('{"documents":[{"author":null,"book_id":"b2","language":"en","metadata":{},'
+            '"title":"Two","tokens":[["more",1,1],["words",0,0],["here",0,0]]}],'
+            '"format":"arcindex-store","version":"1.0"}\n')
+
+
+def test_store_rejects_the_triple_format(tmp_path):
+    path = tmp_path / "store.json"
+    path.write_text(V1_STORE, encoding="utf-8")
+    with pytest.raises(FormatError, match="version '1.0'"):
+        load_store(path)
+
+
+@pytest.mark.parametrize("column, damage", [
+    ("text", lambda col: col[:-1]),
+    ("capitalized", lambda col: col + [0]),
+    ("sentence_start", lambda col: col[1:]),
+    ("text", lambda col: col[:1] + [7] + col[2:]),
+    ("text", lambda col: " ".join(col)),
+    ("capitalized", lambda col: [2] * len(col)),
+])
+def test_store_rejects_malformed_token_columns(tmp_path, column, damage):
+    path = tmp_path / "store.json"
+    save_store([BookDocument(book_id="b1", title="One",
+                             tokens=tokenize("More words here."))], path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    tokens = payload["documents"][0]["tokens"]
+    tokens[column] = damage(tokens[column])
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(FormatError, match="malformed"):
         load_store(path)

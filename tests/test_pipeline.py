@@ -119,7 +119,7 @@ def test_load_corpus_dir_merges_summary_metadata(tmp_path, synth_small):
         assert doc.author == original.author
         assert doc.metadata["genres"] == original.metadata["genres"]
         assert doc.metadata["summary"] == original.metadata["summary"]
-        assert [t.text for t in doc.tokens] == [t.text for t in original.tokens]
+        assert doc.tokens.text == original.tokens.text
 
 
 def test_load_corpus_dir_accepts_bare_text_files(tmp_path):

@@ -3,13 +3,12 @@ import pytest
 from arcindex.characters import CharacterProfile
 from arcindex.config import PipelineConfig
 from arcindex.errors import NoPivots
-from arcindex.ingest import (BookDocument, LogicalBlock, SentimentLexicon,
-                             tokenize)
+from arcindex.ingest import BookDocument, LogicalBlock, tokenize
 from arcindex.pivots import (InteractionIndex, block_sentiment, block_sentiments,
                              compute_interactions, detect_pivots, predominant_pair,
                              smooth)
 
-LEX = SentimentLexicon({"love": 0.8, "joy": 0.6, "grim": -0.9, "dull": -0.5})
+LEX = {"love": 0.8, "joy": 0.6, "grim": -0.9, "dull": -0.5}
 
 
 def _doc(text):

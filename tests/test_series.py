@@ -206,6 +206,13 @@ def test_series_csv_rejects_non_finite_numbers(tmp_path, row):
         read_series_csv(path)
 
 
+def test_series_csv_rejects_negative_values(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("0.0,0.6\n0.5,-0.5\n1.0,0.3\n", encoding="utf-8")
+    with pytest.raises(FormatError, match="negative"):
+        read_series_csv(path)
+
+
 def test_series_csv_rejects_non_numeric_rows(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("0.0,low\n1.0,0.8\n", encoding="utf-8")
