@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, compress
 
 from .errors import CoreExtractionError
 from .ingest import AliasTable, BookDocument
@@ -44,17 +44,15 @@ def _capitalized_runs(tokens):
     only by a sentence boundary are not glued together.
     """
     capitalized, starts = tokens.capitalized, tokens.sentence_start
-    i = 0
     n = len(capitalized)
-    while i < n:
-        if not capitalized[i]:
-            i += 1
+    end = 0
+    for i in compress(range(n), capitalized):
+        if i < end:
             continue
-        j = i + 1
-        while j < n and capitalized[j] and not starts[j]:
-            j += 1
-        yield i, j
-        i = j
+        end = i + 1
+        while end < n and capitalized[end] and not starts[end]:
+            end += 1
+        yield i, end
 
 
 def extract_characters(doc: BookDocument, aliases: AliasTable | None = None) -> list:
@@ -65,17 +63,17 @@ def extract_characters(doc: BookDocument, aliases: AliasTable | None = None) -> 
     Such runs resolve to their longest suffix that is either known to
     the alias table or was seen capitalized mid-sentence elsewhere;
     runs with no known suffix are dropped.
+
+    Runs repeat a few surface forms many times, so each distinct
+    (token texts, sentence-initial) key is resolved once per book.
     """
-    runs = []                 # (start_index, token texts, sentence_initial)
-    validated = set()         # surface forms seen capitalized mid-sentence
-    for start, end in _capitalized_runs(doc.tokens):
-        texts = tuple(doc.tokens.text[start:end])
-        initial = doc.tokens.sentence_start[start]
-        runs.append((start, texts, initial))
-        if not initial:
-            surface = " ".join(texts)
-            if surface != "i":        # first-person pronoun, never a name
-                validated.add(surface)
+    text, starts = doc.tokens.text, doc.tokens.sentence_start
+    runs = [(start, (tuple(text[start:end]), starts[start]))
+            for start, end in _capitalized_runs(doc.tokens)]
+    keys = dict.fromkeys(key for _, key in runs)
+    # Surface forms seen capitalized mid-sentence; "i" is never a name.
+    validated = {" ".join(texts) for texts, initial in keys if not initial}
+    validated.discard("i")
 
     def resolve(surface):
         if aliases is not None:
@@ -86,32 +84,30 @@ def extract_characters(doc: BookDocument, aliases: AliasTable | None = None) -> 
             return surface.title()
         return None
 
-    profiles = {}
-    order = {}
-    for start, texts, initial in runs:
+    resolved = {}             # key -> (offset into the run, canonical) or None
+    for texts, initial in keys:
         mention = None
         for k in range(len(texts)) if initial else (0,):
             canonical = resolve(" ".join(texts[k:]))
             if canonical is not None:
-                mention = (start + k, canonical)
+                mention = (k, canonical)
                 break
-        if mention is None:
-            continue
-        position, canonical = mention
-        profile = profiles.get(canonical)
-        if profile is None:
-            profile = CharacterProfile(canonical_name=canonical, first_mention=position)
-            profiles[canonical] = profile
-            order[canonical] = len(order)
-        profile.mention_count += 1
-        profile.first_mention = min(profile.first_mention, position)
-        profile.mention_positions.append(position)
+        resolved[texts, initial] = mention
 
-    result = sorted(profiles.values(),
-                    key=lambda p: (-p.mention_count, p.first_mention, order[p.canonical_name]))
-    for profile in result:
-        profile.mention_positions.sort()
-    return result
+    # Runs are disjoint and ascending, so each name's positions come out
+    # sorted and no two names share a first mention.
+    positions = {}            # canonical -> mention offsets, first-seen order
+    for start, key in runs:
+        mention = resolved[key]
+        if mention is not None:
+            k, canonical = mention
+            positions.setdefault(canonical, []).append(start + k)
+
+    profiles = [CharacterProfile(canonical_name=name, mention_count=len(found),
+                                 first_mention=found[0], mention_positions=found)
+                for name, found in positions.items()]
+    profiles.sort(key=lambda p: (-p.mention_count, p.first_mention))
+    return profiles
 
 
 def select_prime(profiles, prime_max: int, min_mentions: int) -> list:

@@ -8,9 +8,11 @@ cases where only the matrix survives.
 
 Merging always takes the most similar pair, breaking ties toward the
 lexicographically smallest id pair, and stops when no pair exceeds the
-threshold. The loop keeps every live pair in a heap and discards stale
-entries lazily, so n ids cost n(n-1)/2 initial scores, one fresh score
-per remaining cluster after each merge, and O(n^2 log n) heap work.
+threshold. The loop keeps every live pair that scores above the
+threshold in a heap and discards stale entries lazily, so n ids cost
+n(n-1)/2 initial scores, one fresh score per remaining cluster after
+each merge, and O(n^2 log n) heap work; pairs at or below the
+threshold can never merge and are never pushed.
 After a merge the merged id is always the first argument to
 ``similarity_of``, whichever id is smaller: matrix-mode averages sum in
 argument order, so swapping the arguments can move the last bit of a
@@ -65,24 +67,25 @@ def _merge_loop(ids, similarity_of, on_merge, dt: float):
     b, sim)`` folds b's state into a (a < b), given the pair's
     similarity. Returns (live ids, trace).
 
-    Every live pair has one valid heap entry ``(-sim, a, b, stamp_a,
-    stamp_b)`` with a < b. A merge bumps the survivor's stamp, retires
+    Every live pair with sim > dt has one valid heap entry ``(-sim, a,
+    b, stamp_a, stamp_b)`` with a < b; pairs at or below dt never merge,
+    so they are left out. A merge bumps the survivor's stamp, retires
     the absorbed id and pushes the survivor's fresh pairs; entries with
-    a retired id or an old stamp are dropped when popped.
+    a retired id or an old stamp are dropped when popped. The loop ends
+    when the heap is empty.
     """
     live = sorted(ids)
     stamp = dict.fromkeys(live, 0)
-    heap = [(-similarity_of(a, b), a, b, 0, 0)
-            for i, a in enumerate(live) for b in live[i + 1:]]
+    heap = [(-sim, a, b, 0, 0)
+            for i, a in enumerate(live) for b in live[i + 1:]
+            if (sim := similarity_of(a, b)) > dt]
     heapq.heapify(heap)
     trace = []
-    while len(live) > 1:
+    while heap:
         neg_sim, a, b, stamp_a, stamp_b = heapq.heappop(heap)
         if stamp.get(a) != stamp_a or stamp.get(b) != stamp_b:
             continue
         best_sim = -neg_sim
-        if best_sim <= dt:
-            break
         trace.append((a, b, best_sim))
         on_merge(a, b, best_sim)
         live.remove(b)
@@ -93,6 +96,8 @@ def _merge_loop(ids, similarity_of, on_merge, dt: float):
                 # Score with the merged id first, then key the pair by
                 # (min, max): matrix-mode averages sum in argument order.
                 sim = similarity_of(a, other)
+                if sim <= dt:
+                    continue
                 if a < other:
                     heapq.heappush(heap, (-sim, a, other, stamp[a], stamp[other]))
                 else:
@@ -151,7 +156,8 @@ def cluster_series(series_list, cfg: PipelineConfig,
 
     Returns (clusters, resolved_dt, global_trace). An existing all-pairs
     matrix seeds the initial similarities and the adaptive threshold;
-    otherwise pairs are scored on demand.
+    otherwise pairs are scored on demand. The matrix must be symmetric,
+    as ``spsi_matrix``'s is bit for bit.
     """
     series_by_id = {s.book_id: s for s in series_list}
     if len(series_by_id) != len(series_list):
@@ -167,19 +173,17 @@ def cluster_series(series_list, cfg: PipelineConfig,
                            representative=s, merge_trace=[])
         for s in series_list
     }
-    initial = {}
+    pos = {}
     if matrix is not None:
         if sorted(matrix.book_ids) != sorted(series_by_id):
             raise ValueError("matrix book_ids do not match the series list")
-        ids = matrix.book_ids
-        for i, a in enumerate(ids):
-            for j in range(i + 1, len(ids)):
-                initial[tuple(sorted((a, ids[j])))] = matrix.values[i][j]
+        pos = {book_id: i for i, book_id in enumerate(matrix.book_ids)}
 
     def similarity_of(a, b):
-        key = tuple(sorted((a, b)))
-        if key in initial and len(state[a].members) == 1 and len(state[b].members) == 1:
-            return initial[key]
+        # Two singletons read the matrix in place; it is symmetric, so
+        # the order of a and b does not matter.
+        if matrix is not None and len(state[a].members) == 1 and len(state[b].members) == 1:
+            return matrix.values[pos[a]][pos[b]]
         return score(state[a].representative, state[b].representative,
                      cfg.length_ratio_limit)
 

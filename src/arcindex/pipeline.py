@@ -46,7 +46,8 @@ def analyze_book(doc: BookDocument, cfg: PipelineConfig,
                  lexicon: dict | None = None,
                  aliases: AliasTable | None = None) -> BookAnalysis:
     """Run the per-book stages and produce the book's sentiment series."""
-    lexicon = lexicon or load_default_lexicon()
+    if lexicon is None:
+        lexicon = load_default_lexicon()
     blocks = segment_blocks(doc, cfg.block_size)
     profiles = extract_characters(doc, aliases)
     primes = select_prime(profiles, cfg.prime_max, cfg.min_mentions)
@@ -93,7 +94,8 @@ def analyze_corpus(docs, cfg: PipelineConfig,
     books the pipeline cannot carry to a series are reported there
     instead of raising.
     """
-    lexicon = lexicon or load_default_lexicon()
+    if lexicon is None:
+        lexicon = load_default_lexicon()
     analyses = []
     failures = []
     for doc in docs:

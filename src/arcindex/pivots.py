@@ -40,8 +40,7 @@ def block_sentiment(block, doc: BookDocument, lexicon: dict,
     """
     total = 0.0
     hits = 0
-    for text in doc.tokens.text[block.start:block.end]:
-        polarity = lexicon.get(text)
+    for polarity in map(lexicon.get, doc.tokens.text[block.start:block.end]):
         if polarity is not None:
             total += polarity
             hits += 1

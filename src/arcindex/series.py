@@ -41,11 +41,20 @@ class ContextBlock:
 
 @dataclass
 class SentimentSeries:
+    """A book's progression series.
+
+    A series is a value once it is first aligned: ``align_lengths``
+    keeps every copy it grows from this series, so do not mutate
+    ``points`` or ``context`` after that. Set ``context`` before any
+    alignment, as ``analyze_book`` does.
+    """
     book_id: str
     points: list
     # Block-level context from the source book; not persisted and not
     # part of equality, only consulted when promoting secondary pivots.
     context: list | None = field(default=None, compare=False, repr=False)
+    # Grown copies keyed by (target length, promoted); see align_lengths.
+    _grown: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -152,6 +161,10 @@ def align_lengths(s1: SentimentSeries, s2: SentimentSeries,
     is within ``ratio_limit`` the shorter series gains interpolated
     midpoints of its widest gaps; beyond that, secondary pivots from the
     source book are promoted first.
+
+    The grown copy depends only on the shorter series, the target length
+    and whether promotion applies, so it is kept on the shorter series
+    under that key and later alignments to the same length look it up.
     """
     if len(s1) == len(s2):
         return s1, s2
@@ -159,14 +172,18 @@ def align_lengths(s1: SentimentSeries, s2: SentimentSeries,
         raise DegenerateSeries("cannot align a series with fewer than 2 points")
     longer, shorter = (s1, s2) if len(s1) > len(s2) else (s2, s1)
     target = len(longer)
-    ratio = (target - len(shorter)) / target
-    if ratio > ratio_limit:
-        shorter = resample_secondary(shorter, deficit=target - len(shorter))
-    points = list(shorter.points)
-    while len(points) < target:
-        points = _insert_midpoint(points)
-    grown = SentimentSeries(book_id=shorter.book_id, points=points,
-                            context=shorter.context)
+    promoted = (target - len(shorter)) / target > ratio_limit
+    grown = shorter._grown.get((target, promoted))
+    if grown is None:
+        source = shorter
+        if promoted:
+            source = resample_secondary(shorter, deficit=target - len(shorter))
+        points = list(source.points)
+        while len(points) < target:
+            points = _insert_midpoint(points)
+        grown = SentimentSeries(book_id=shorter.book_id, points=points,
+                                context=shorter.context)
+        shorter._grown[(target, promoted)] = grown
     return (s1, grown) if longer is s1 else (grown, s2)
 
 

@@ -213,7 +213,8 @@ def _tier_words(lexicon: dict) -> dict:
         tenths = round(polarity * 10)
         if abs(polarity * 10 - tenths) < 1e-9:
             tiers.setdefault(tenths, []).append(term)
-    for tenths, words in tiers.items():
+    for tenths in range(-10, 11):
+        words = tiers.setdefault(tenths, [])
         words.sort()
         if len(words) < 4:
             raise ValueError(f"lexicon tier {tenths / 10:+.1f} too small to plant from")
@@ -269,7 +270,8 @@ def _render(blocks) -> str:
 def generate(spec: GenSpec | None = None,
              lexicon: dict | None = None) -> SynthResult:
     spec = spec or GenSpec()
-    lexicon = lexicon or load_default_lexicon()
+    if lexicon is None:
+        lexicon = load_default_lexicon()
     tiers = _tier_words(lexicon)
     fillers = [w for w in FILLER_WORDS if w not in lexicon]
     if len(fillers) < 30:

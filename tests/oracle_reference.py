@@ -105,3 +105,63 @@ def ref_tokenize(text):
         last_end = match.end()
         first = False
     return tokens
+
+
+def ref_extract_characters(text, capitalized, sentence_start, alias_resolve=None):
+    """Character profiles by one resolution per capitalized run.
+
+    Takes the three token columns and an optional ``alias_resolve``
+    (lowercased surface -> canonical name or None). Returns (canonical
+    name, mention count, first mention, sorted mention offsets) tuples,
+    ordered by count (descending), then first mention, then first seen.
+    """
+    runs = []
+    validated = set()
+    i = 0
+    n = len(capitalized)
+    while i < n:
+        if not capitalized[i]:
+            i += 1
+            continue
+        j = i + 1
+        while j < n and capitalized[j] and not sentence_start[j]:
+            j += 1
+        texts = tuple(text[i:j])
+        initial = sentence_start[i]
+        runs.append((i, texts, initial))
+        if not initial:
+            surface = " ".join(texts)
+            if surface != "i":
+                validated.add(surface)
+        i = j
+
+    def resolve(surface):
+        if alias_resolve is not None:
+            canonical = alias_resolve(surface)
+            if canonical is not None:
+                return canonical
+        if surface in validated:
+            return surface.title()
+        return None
+
+    profiles = {}
+    order = {}
+    for start, texts, initial in runs:
+        mention = None
+        for k in range(len(texts)) if initial else (0,):
+            canonical = resolve(" ".join(texts[k:]))
+            if canonical is not None:
+                mention = (start + k, canonical)
+                break
+        if mention is None:
+            continue
+        position, canonical = mention
+        if canonical not in profiles:
+            profiles[canonical] = []
+            order[canonical] = len(order)
+        profiles[canonical].append(position)
+
+    result = [(name, len(found), min(found), sorted(found))
+              for name, found in profiles.items()]
+    result.sort(key=lambda p: (-p[1], p[2], order[p[0]]))
+    return result

@@ -8,7 +8,7 @@ from arcindex.clustering import Cluster
 from arcindex.config import PipelineConfig
 from arcindex.errors import (EmptyCatalogue, FormatError, UnknownBook,
                              VersionError)
-from arcindex.series import SentimentSeries, SeriesPoint
+from arcindex.series import SentimentSeries, SeriesPoint, align_lengths
 
 
 def _series(book_id, values, positions=None):
@@ -85,6 +85,34 @@ def test_second_save_is_byte_identical(tmp_path):
     save(cat, p1)
     save(load(p1), p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_alignment_memo_leaves_catalogue_bytes_alone(tmp_path):
+    def catalogue(series_by_id):
+        clusters = [Cluster(cluster_id="book-a", members=sorted(series_by_id),
+                            representative=series_by_id["book-c"], merge_trace=[])]
+        meta = {b: (b.upper(), None) for b in series_by_id}
+        return build_catalogue(clusters, series_by_id, PipelineConfig(dt=0.8), meta)
+
+    def series_by_id():
+        return {"book-a": _series("book-a", [0.2, 0.7, 0.4]),
+                "book-b": _series("book-b", [0.3, 0.5, 0.6, 0.2, 0.8]),
+                "book-c": _series("book-c", [0.1, 0.9, 0.2, 0.8, 0.3, 0.7, 0.4])}
+
+    save(catalogue(series_by_id()), tmp_path / "fresh.json")
+    aligned = series_by_id()
+    for s1 in aligned.values():
+        for s2 in aligned.values():
+            for limit in (0.1, 0.6):
+                align_lengths(s1, s2, limit)
+    warm = catalogue(aligned)
+    save(warm, tmp_path / "aligned.json")
+    for book_id in aligned:
+        search_similar(warm, book_id, k=3)
+    save(warm, tmp_path / "searched.json")
+    fresh = (tmp_path / "fresh.json").read_bytes()
+    assert (tmp_path / "aligned.json").read_bytes() == fresh
+    assert (tmp_path / "searched.json").read_bytes() == fresh
 
 
 def test_load_rejects_major_version_bump(tmp_path):

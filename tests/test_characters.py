@@ -1,9 +1,12 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arcindex.characters import (co_occurrence, extract_characters, select_core,
                                  select_prime)
 from arcindex.errors import CoreExtractionError
-from arcindex.ingest import AliasTable, BookDocument, tokenize
+from arcindex.ingest import AliasTable, BookDocument, Tokens, tokenize
+from oracle_reference import ref_extract_characters
 
 
 def _doc(text, book_id="bk"):
@@ -119,3 +122,32 @@ def test_core_falls_back_to_top_two_primes():
 def test_core_extraction_needs_primes():
     with pytest.raises(CoreExtractionError):
         select_core([], [], edge_threshold=0.25)
+
+
+# A small vocabulary, so runs repeat, names span several words, "i"
+# appears capitalized, and the alias table has something to fold.
+_WORDS = ["odile", "perdita", "vane", "gen", "genevieve", "the", "later",
+          "i", "road", "and"]
+_ALIASES = AliasTable({"Genevieve": ["Gen"], "Perdita Vane": ["Vane"]})
+
+
+@st.composite
+def _token_streams(draw):
+    n = draw(st.integers(min_value=0, max_value=60))
+    text = draw(st.lists(st.sampled_from(_WORDS), min_size=n, max_size=n))
+    capitalized = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    sentence_start = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    if n:
+        sentence_start[0] = True
+    return Tokens(text=text, capitalized=capitalized, sentence_start=sentence_start)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tokens=_token_streams(), aliases=st.sampled_from([None, _ALIASES]))
+def test_profiles_match_the_per_run_reference(tokens, aliases):
+    doc = BookDocument(book_id="bk", title="T", tokens=tokens)
+    got = [(p.canonical_name, p.mention_count, p.first_mention, p.mention_positions)
+           for p in extract_characters(doc, aliases)]
+    resolve = aliases.resolve if aliases is not None else None
+    assert got == ref_extract_characters(tokens.text, tokens.capitalized,
+                                         tokens.sentence_start, resolve)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import arcindex
-from arcindex.errors import CoreExtractionError, FormatError
+from arcindex.errors import CoreExtractionError, FormatError, TooFewPivots
 from arcindex.ingest import BookDocument, tokenize
 from arcindex.pipeline import (analyze_book, analyze_corpus, build_from_documents,
                                evaluate, load_corpus_dir, load_labels)
@@ -55,6 +55,24 @@ def test_skip_errors_collects_failures_instead_of_raising(synth_small, synth_cfg
     assert len(failures) == 1
     assert failures[0][0] == "bad"
     assert "CoreExtractionError" in failures[0][1]
+
+
+def test_an_explicit_empty_lexicon_is_used_not_replaced(synth_small, synth_cfg,
+                                                       monkeypatch):
+    import arcindex.pipeline as pipeline_mod
+
+    def no_default():
+        raise AssertionError("the default lexicon was loaded")
+
+    monkeypatch.setattr(pipeline_mod, "load_default_lexicon", no_default)
+    doc = synth_small.documents[0]
+    # Every block scores 0.5, so the flat series has a single pivot.
+    with pytest.raises(TooFewPivots):
+        analyze_book(doc, synth_cfg, lexicon={})
+    analyses, failures = analyze_corpus([doc], synth_cfg, lexicon={}, skip_errors=True)
+    assert analyses == []
+    assert [book_id for book_id, _ in failures] == [doc.book_id]
+    assert "TooFewPivots" in failures[0][1]
 
 
 def test_build_from_documents_clusters_by_archetype(synth_small, synth_outcome,

@@ -52,6 +52,12 @@ def test_block_sentiments_scores_each_block():
     assert values == pytest.approx([0.9, 0.05], abs=1e-12)
 
 
+def test_empty_lexicon_scores_every_block_neutral():
+    doc = _doc("love love grim grim joy dull")
+    blocks = [LogicalBlock(0, 0, 2), LogicalBlock(1, 2, 4), LogicalBlock(2, 4, 6)]
+    assert block_sentiments(blocks, doc, {}, PipelineConfig()) == [0.5, 0.5, 0.5]
+
+
 def test_smooth_centered_window_clips_at_edges():
     out = smooth([0.0, 1.0, 0.0, 1.0, 0.0], radius=1)
     assert out == pytest.approx([0.5, 1 / 3, 2 / 3, 1 / 3, 0.5])

@@ -1,13 +1,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arcindex.errors import DegenerateSeries, FormatError, TooFewPivots
 from arcindex.pivots import PivotPoint
 from arcindex.series import (INTERPOLATED, PRIMARY, SECONDARY, ContextBlock,
-                             SentimentSeries, SeriesPoint, align_lengths,
-                             build_series, export_series_csv, read_series_csv,
-                             resample_secondary)
+                             SentimentSeries, SeriesPoint, _insert_midpoint,
+                             align_lengths, build_series, export_series_csv,
+                             read_series_csv, resample_secondary)
 
 
 def _pivot(block, position, sv):
@@ -163,6 +165,63 @@ def test_secondary_resampling_falls_back_to_midpoints():
     assert len(grown) == 3
     assert grown.points[1].provenance == INTERPOLATED
     assert grown.points[1].position == 0.5
+
+
+@st.composite
+def _series_with_context(draw, book_id):
+    """2-14 points on a 1/1000 grid, with 75 context blocks as a book has."""
+    n = draw(st.integers(min_value=2, max_value=14))
+    grid = draw(st.lists(st.integers(min_value=0, max_value=1000),
+                         min_size=n, max_size=n, unique=True))
+    values = draw(st.lists(st.integers(min_value=0, max_value=100),
+                           min_size=n, max_size=n))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    context = [ContextBlock(position=b / 74, value=rng.randint(0, 10) / 10,
+                            smoothed=rng.randint(0, 20) / 20,
+                            interacting=rng.random() < 0.3)
+               for b in range(75)]
+    points = [SeriesPoint(g / 1000, v / 100) for g, v in zip(sorted(grid), values)]
+    return SentimentSeries(book_id=book_id, points=points, context=context)
+
+
+def _fresh_growth(shorter, target, ratio_limit):
+    """What alignment grows, computed on a copy that has never been aligned."""
+    copy = SentimentSeries(book_id=shorter.book_id, points=list(shorter.points),
+                           context=shorter.context)
+    if (target - len(copy)) / target > ratio_limit:
+        copy = resample_secondary(copy, deficit=target - len(copy))
+    points = list(copy.points)
+    while len(points) < target:
+        points = _insert_midpoint(points)
+    return points
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_series_with_context("a"), b=_series_with_context("b"),
+       limits=st.permutations([0.1, 0.3, 0.6]))
+def test_repeated_alignment_returns_a_fresh_growth(a, b, limits):
+    target = max(len(a), len(b))
+    expected = {s.book_id: {limit: _fresh_growth(s, target, limit) for limit in limits}
+                for s in (a, b)}
+    originals = {s.book_id: list(s.points) for s in (a, b)}
+    for _ in range(2):
+        for limit in limits:
+            for s1, s2 in ((a, b), (b, a)):
+                r1, r2 = align_lengths(s1, s2, limit)
+                assert r1.points == expected[s1.book_id][limit]
+                assert r2.points == expected[s2.book_id][limit]
+    assert {s.book_id: s.points for s in (a, b)} == originals
+
+
+def test_alignment_memo_stays_out_of_equality_and_repr():
+    longer = _series("long", [i / 11 for i in range(12)], [0.5] * 12)
+    shorter = _series("short", [0.0, 0.4, 1.0], [0.2, 0.9, 0.3])
+    twin = _series("short", [0.0, 0.4, 1.0], [0.2, 0.9, 0.3])
+    before = repr(shorter)
+    _, grown = align_lengths(longer, shorter)
+    assert align_lengths(longer, shorter)[1] is grown
+    assert shorter == twin
+    assert repr(shorter) == before
 
 
 def test_alignment_rejects_single_point_series():

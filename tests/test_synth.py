@@ -23,6 +23,17 @@ def test_same_seed_reproduces_the_corpus_exactly():
     assert first.truth == second.truth
 
 
+def test_an_explicit_empty_lexicon_is_used_not_replaced(monkeypatch):
+    import arcindex.synth as synth_mod
+
+    def no_default():
+        raise AssertionError("the default lexicon was loaded")
+
+    monkeypatch.setattr(synth_mod, "load_default_lexicon", no_default)
+    with pytest.raises(ValueError, match="too small to plant from"):
+        generate(_small_spec(), lexicon={})
+
+
 def test_different_seeds_produce_different_text():
     first = generate(_small_spec(seed=7))
     second = generate(_small_spec(seed=8))
