@@ -78,25 +78,36 @@ def baseline2_vectors(docs) -> dict:
     return _tfidf(bags)
 
 
-def cosine(u: dict, v: dict) -> float:
+def _norm(u: dict) -> float:
+    return math.sqrt(sum(w * w for w in u.values()))
+
+
+def _cosine(u: dict, norm_u: float, v: dict, norm_v: float) -> float:
+    if norm_u == 0.0 or norm_v == 0.0:
+        return 0.0
     if len(v) < len(u):
         u, v = v, u
     dot = sum(w * v[term] for term, w in u.items() if term in v)
-    norm_u = math.sqrt(sum(w * w for w in u.values()))
-    norm_v = math.sqrt(sum(w * w for w in v.values()))
-    if norm_u == 0.0 or norm_v == 0.0:
-        return 0.0
     return dot / (norm_u * norm_v)
 
 
+def cosine(u: dict, v: dict) -> float:
+    return _cosine(u, _norm(u), v, _norm(v))
+
+
 def similarity_matrix_from_vectors(vectors: dict) -> SimilarityMatrix:
-    """Cosine matrix over the vectors; diagonal pinned to 1."""
+    """Cosine matrix over the vectors; diagonal pinned to 1.
+
+    Each vector's norm is computed once and shared by all its pairs.
+    """
     ids = list(vectors)
     n = len(ids)
+    vecs = [vectors[i] for i in ids]
+    norms = [_norm(u) for u in vecs]
     values = [[1.0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            s = cosine(vectors[ids[i]], vectors[ids[j]])
+            s = _cosine(vecs[i], norms[i], vecs[j], norms[j])
             values[i][j] = s
             values[j][i] = s
     return SimilarityMatrix(book_ids=ids, values=values)

@@ -83,6 +83,8 @@ def build_catalogue(clusters, series_by_id: dict, cfg, book_meta: dict) -> Catal
     ``book_meta`` maps book_id to (title, author). Within a cluster,
     entries are sorted by distance to the representative, then title.
     """
+    settings = cfg.to_dict() if hasattr(cfg, "to_dict") else dict(cfg)
+    ratio_limit = settings.get("length_ratio_limit", 0.3)
     index_clusters = []
     entries = []
     for cluster in sorted(clusters, key=lambda c: str(c.cluster_id)):
@@ -96,7 +98,7 @@ def build_catalogue(clusters, series_by_id: dict, cfg, book_meta: dict) -> Catal
         cluster_entries = []
         for member in cluster.members:
             series = _quantize_series(series_by_id[member])
-            distance = quantize(1.0 - score(series, rep))
+            distance = quantize(1.0 - score(series, rep, ratio_limit))
             title, author = book_meta.get(member, (str(member), None))
             cluster_entries.append(CatalogueEntry(
                 book_id=str(member),
@@ -108,8 +110,7 @@ def build_catalogue(clusters, series_by_id: dict, cfg, book_meta: dict) -> Catal
             ))
         cluster_entries.sort(key=lambda e: (e.distance, e.title))
         entries.extend(cluster_entries)
-    config = {k: (quantize(v) if isinstance(v, float) else v)
-              for k, v in (cfg.to_dict() if hasattr(cfg, "to_dict") else dict(cfg)).items()}
+    config = {k: (quantize(v) if isinstance(v, float) else v) for k, v in settings.items()}
     return Catalogue(format_version=FORMAT_VERSION, config=config,
                      clusters=index_clusters, entries=entries)
 
@@ -232,11 +233,12 @@ def search_similar(catalogue: Catalogue, query, k: int,
     else:
         query_series = query
         exclude = None
+    ratio_limit = catalogue.config.get("length_ratio_limit", 0.3)
     scored = []
     for e in catalogue.entries:
         if exclude is not None and e.book_id == exclude:
             continue
-        scored.append((e, score(query_series, e.series)))
+        scored.append((e, score(query_series, e.series, ratio_limit)))
     scored.sort(key=lambda item: (-item[1], item[0].title))
     return [(e.book_id, s) for e, s in scored[:max(k, 0)]]
 
@@ -245,10 +247,11 @@ def nearest_cluster(catalogue: Catalogue, series: SentimentSeries):
     """The cluster whose representative is most similar to the series."""
     if not catalogue.clusters:
         raise EmptyCatalogue("catalogue has no clusters")
+    ratio_limit = catalogue.config.get("length_ratio_limit", 0.3)
     best_id = None
     best_sim = -1.0
     for c in sorted(catalogue.clusters, key=lambda c: c.cluster_id):
-        sim = score(series, c.representative)
+        sim = score(series, c.representative, ratio_limit)
         if sim > best_sim:
             best_sim = sim
             best_id = c.cluster_id

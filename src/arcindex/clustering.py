@@ -132,12 +132,12 @@ def cluster_matrix(matrix: SimilarityMatrix, dt: float):
     return partition, trace
 
 
-def _mean_series(cluster_id, member_series) -> SentimentSeries:
+def _mean_series(cluster_id, member_series, ratio_limit: float) -> SentimentSeries:
     """Element-wise mean of member series, aligned to the longest."""
     target = max(member_series, key=len)
     aligned = []
     for s in member_series:
-        _, grown = align_lengths(target, s)
+        _, grown = align_lengths(target, s, ratio_limit)
         aligned.append(grown)
     length = len(target)
     count = len(aligned)
@@ -190,7 +190,7 @@ def cluster_series(series_list, cfg: PipelineConfig,
     def on_merge(a, b, sim):
         ca, cb = state[a], state[b]
         members = sorted(ca.members + cb.members)
-        rep = _mean_series(a, [series_by_id[m] for m in members])
+        rep = _mean_series(a, [series_by_id[m] for m in members], cfg.length_ratio_limit)
         state[a] = Cluster(
             cluster_id=a,
             members=members,

@@ -36,12 +36,21 @@ class Tokens:
 
 @dataclass
 class BookDocument:
+    """One book: its token columns and metadata.
+
+    A document is a value once it is first analysed: ``analyze_book``
+    keeps its last result on the document, so do not change ``tokens``
+    or the metadata after that. Build a new document instead.
+    """
     book_id: str
     title: str
     tokens: Tokens
     author: str | None = None
     language: str = "en"
     metadata: dict = field(default_factory=dict)
+    # (config values, lexicon, aliases, BookAnalysis) of the last
+    # analysis; see pipeline.analyze_book. Never saved by save_store.
+    _analysis: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def token_count(self) -> int:

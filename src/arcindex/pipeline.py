@@ -7,7 +7,7 @@ catalogue assembly) then run over all of the resulting series.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 from .baselines import (agreement, baseline1_vectors, baseline2_vectors,
@@ -45,9 +45,29 @@ class BookAnalysis:
 def analyze_book(doc: BookDocument, cfg: PipelineConfig,
                  lexicon: dict | None = None,
                  aliases: AliasTable | None = None) -> BookAnalysis:
-    """Run the per-book stages and produce the book's sentiment series."""
+    """Run the per-book stages and produce the book's sentiment series.
+
+    The result is kept on the document together with the config's field
+    values and the lexicon and alias table objects it came from. A later
+    call with equal config values and the very same lexicon and alias
+    table returns that same ``BookAnalysis`` without re-running the
+    stages. So the document, the lexicon and the alias table are values
+    once analysed: do not change them afterwards. A returned analysis
+    is shared between callers and is read-only, its series included.
+    Failed analyses are not kept.
+    """
     if lexicon is None:
         lexicon = load_default_lexicon()
+    key = astuple(cfg)
+    kept = doc._analysis
+    if kept is not None and kept[0] == key and kept[1] is lexicon and kept[2] is aliases:
+        return kept[3]
+    analysis = _analyze(doc, cfg, lexicon, aliases)
+    doc._analysis = (key, lexicon, aliases, analysis)
+    return analysis
+
+
+def _analyze(doc, cfg, lexicon, aliases) -> BookAnalysis:
     blocks = segment_blocks(doc, cfg.block_size)
     profiles = extract_characters(doc, aliases)
     primes = select_prime(profiles, cfg.prime_max, cfg.min_mentions)

@@ -93,6 +93,25 @@ def test_vector_similarity_matrix_is_symmetric_with_unit_diagonal():
     assert matrix.values[0][2] == 0.0
 
 
+def test_vector_similarity_matrix_entries_equal_cosine_bit_for_bit():
+    docs = [
+        _doc("b1", summary="storm storm harbor quay gull"),
+        _doc("b2", summary="storm quay"),
+        _doc("b3", summary="garden storm gull gull rose"),
+        _doc("b4", summary="garden"),
+        _doc("b5", summary="harbor"),
+    ]
+    vectors = baseline2_vectors(docs)
+    vectors["b6"] = {}
+    matrix = similarity_matrix_from_vectors(vectors)
+    ids = matrix.book_ids
+    for i, a in enumerate(ids):
+        for j, b in enumerate(ids):
+            if i != j:
+                assert matrix.values[i][j].hex() == cosine(vectors[a], vectors[b]).hex()
+                assert cosine(vectors[a], vectors[b]).hex() == cosine(vectors[b], vectors[a]).hex()
+
+
 def test_partition_from_similarity_applies_threshold():
     ids = ["a", "b", "c", "d"]
     sims = {("a", "b"): 0.9, ("c", "d"): 0.8}

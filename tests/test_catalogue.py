@@ -4,11 +4,12 @@ import pytest
 
 from arcindex.catalogue import (FORMAT_VERSION, build_catalogue, load,
                                 nearest_cluster, quantize, save, search_similar)
-from arcindex.clustering import Cluster
+from arcindex.clustering import Cluster, cluster_series
 from arcindex.config import PipelineConfig
 from arcindex.errors import (EmptyCatalogue, FormatError, UnknownBook,
                              VersionError)
-from arcindex.series import SentimentSeries, SeriesPoint, align_lengths
+from arcindex.series import ContextBlock, SentimentSeries, SeriesPoint, align_lengths
+from arcindex.similarity import score
 
 
 def _series(book_id, values, positions=None):
@@ -275,3 +276,36 @@ def test_distance_complements_similarity_to_representative():
     cat = _toy_catalogue()
     entry = cat.entry("book-c")
     assert entry.distance == pytest.approx(0.0, abs=1e-9)
+
+
+def _mean_points(long, short, ratio_limit):
+    _, grown = align_lengths(long, short, ratio_limit)
+    return [((a.position + b.position) / 2, (a.value + b.value) / 2)
+            for a, b in zip(long.points, grown.points)]
+
+
+def test_a_catalogue_scores_with_its_configured_ratio_limit(tmp_path):
+    # 12 against 7 points is a length ratio of 5/12: above 0.3 the short
+    # series promotes secondary pivots, below 0.6 it is interpolated.
+    long = _series("long", [0.2, 0.5, 0.3, 0.7, 0.4, 0.6, 0.35, 0.8, 0.45, 0.55, 0.3, 0.65])
+    short = _series("short", [0.25, 0.6, 0.35, 0.75, 0.4, 0.7, 0.5])
+    short.context = [ContextBlock(position=b / 74, value=0.3 + 0.04 * (b * 37 % 11),
+                                  smoothed=0.3 + 0.04 * (b * 17 % 13), interacting=True)
+                     for b in range(75)]
+    cfg = PipelineConfig(dt=0.01, length_ratio_limit=0.6).validate()
+    clusters, _, _ = cluster_series([long, short], cfg)
+    assert [c.members for c in clusters] == [["long", "short"]]
+    rep = [(p.position, p.value) for p in clusters[0].representative.points]
+    assert rep == _mean_points(long, short, 0.6)
+    assert rep != _mean_points(long, short, 0.3)
+
+    path = tmp_path / "cat.json"
+    save(build_catalogue(clusters, {"long": long, "short": short}, cfg, {}), path)
+    loaded = load(path)
+    entry = loaded.entry("long").series
+    results = dict(search_similar(loaded, short, k=2))
+    assert results["long"] == score(short, entry, 0.6)
+    assert results["long"] != score(short, entry, 0.3)
+    cid, sim = nearest_cluster(loaded, short)
+    assert sim == score(short, loaded.cluster(cid).representative, 0.6)
+    assert sim != score(short, loaded.cluster(cid).representative, 0.3)

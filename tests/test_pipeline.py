@@ -2,14 +2,19 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields, is_dataclass, replace
 from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import arcindex
+from arcindex.catalogue import save
 from arcindex.errors import CoreExtractionError, FormatError, TooFewPivots
-from arcindex.ingest import BookDocument, tokenize
+from arcindex.ingest import (AliasTable, BookDocument, load_default_lexicon, load_store,
+                             save_store, tokenize)
 from arcindex.pipeline import (analyze_book, analyze_corpus, build_from_documents,
                                evaluate, load_corpus_dir, load_labels)
 from arcindex.similarity import score
@@ -172,3 +177,123 @@ def test_load_labels_rejects_a_one_column_row(tmp_path):
     path.write_text("book_id,label\nb1,2\nb2\n", encoding="utf-8")
     with pytest.raises(FormatError):
         load_labels(path)
+
+
+def _hexed(value):
+    """A value with floats as hex and dataclasses as tuples of their public fields."""
+    if isinstance(value, float):
+        return value.hex()
+    if is_dataclass(value):
+        return (type(value).__name__,) + tuple(
+            _hexed(getattr(value, f.name)) for f in fields(value) if not f.name.startswith("_"))
+    if isinstance(value, (list, tuple)):
+        return tuple(_hexed(v) for v in value)
+    if isinstance(value, (set, frozenset)):
+        return tuple(sorted(value))
+    return value
+
+
+# Alternative values for config fields; alpha changes the analysis, the
+# others only its key.
+_OTHER_VALUES = {"alpha": 0.05, "dt": 0.5, "length_ratio_limit": 0.4}
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.lists(st.sampled_from(sorted(_OTHER_VALUES) + ["lexicon", "aliases"]),
+                min_size=1, max_size=6))
+def test_a_kept_analysis_equals_a_fresh_one(synth_small, synth_cfg, changes):
+    shared = replace(synth_small.documents[0])
+    cfg, lexicon, aliases = synth_cfg, load_default_lexicon(), None
+    previous = None
+    for change in [None] + changes:
+        if change == "lexicon":
+            lexicon = dict(lexicon)          # equal content, another object
+        elif change == "aliases":
+            aliases = AliasTable()
+        elif change is not None:
+            default = getattr(synth_cfg, change)
+            now = getattr(cfg, change)
+            cfg = cfg.replace(**{change: _OTHER_VALUES[change] if now == default else default})
+        got = analyze_book(shared, cfg, lexicon, aliases)
+        assert got is not previous
+        assert analyze_book(shared, cfg, lexicon, aliases) is got
+        fresh = analyze_book(replace(synth_small.documents[0]), cfg, lexicon, aliases)
+        assert _hexed(got) == _hexed(fresh)
+        previous = got
+
+
+def test_a_lexicon_is_held_so_its_address_cannot_be_reused(synth_small, synth_cfg):
+    # Were the kept lexicon compared by id alone, a new lexicon allocated
+    # where the freed one lived would be taken for it.
+    doc = replace(synth_small.documents[0])
+    base = load_default_lexicon()
+    for scale in (1.0, 0.5, 1.0, 0.5):
+        lexicon = {term: polarity * scale for term, polarity in base.items()}
+        got = _hexed(analyze_book(doc, synth_cfg, lexicon))
+        assert got == _hexed(analyze_book(replace(doc), synth_cfg, lexicon))
+        del lexicon
+
+
+def test_a_failed_analysis_is_not_kept(synth_cfg, monkeypatch):
+    import arcindex.pipeline as pipeline_mod
+
+    runs = []
+    real = pipeline_mod._analyze
+
+    def counted(doc, *args):
+        runs.append(doc.book_id)
+        return real(doc, *args)
+
+    monkeypatch.setattr(pipeline_mod, "_analyze", counted)
+    bad = BookDocument(book_id="bad", title="Bad",
+                       tokens=tokenize("no names in this text at all. " * 100))
+    lexicon = load_default_lexicon()
+    for _ in range(2):
+        analyses, failures = analyze_corpus([bad], synth_cfg, lexicon=lexicon,
+                                            skip_errors=True)
+        assert analyses == []
+        assert [book_id for book_id, _ in failures] == ["bad"]
+        assert "CoreExtractionError" in failures[0][1]
+        assert bad._analysis is None
+    assert runs == ["bad", "bad"]
+
+
+def test_overlapping_shelves_match_builds_from_fresh_documents(tmp_path, synth_cfg):
+    # 12-, 10- and 7-point series, so shared series also share grown copies.
+    templates = tuple(ArcTemplate(t.archetype_id, t.name, t.description, t.values[:k])
+                      for t, k in zip(DEFAULT_TEMPLATES, (12, 10, 7)))
+    corpus = generate(GenSpec(seed=31, books_per_archetype=2, templates=templates))
+    docs = corpus.documents
+    store = tmp_path / "store.json"
+    save_store(docs, store)
+    lexicon = load_default_lexicon()
+    shelves = [docs[0:4], docs[2:6], docs[0:4]]
+    kept = {}
+    for i, shelf in enumerate(shelves):
+        by_id = {d.book_id: d for d in load_store(store)}
+        fresh_docs = [by_id[d.book_id] for d in shelf]
+        shared = build_from_documents(shelf, synth_cfg, lexicon=lexicon)
+        fresh = build_from_documents(fresh_docs, synth_cfg, lexicon=load_default_lexicon())
+        assert _hexed(shared.matrix.values) == _hexed(fresh.matrix.values)
+        assert repr(shared.merge_trace) == repr(fresh.merge_trace)
+        save(shared.catalogue, tmp_path / f"shared-{i}.json")
+        save(fresh.catalogue, tmp_path / f"fresh-{i}.json")
+        assert ((tmp_path / f"shared-{i}.json").read_bytes()
+                == (tmp_path / f"fresh-{i}.json").read_bytes())
+        labels = {d.book_id: corpus.labels[d.book_id] for d in shelf}
+        assert (evaluate(shelf, labels, synth_cfg, lexicon=lexicon).to_dict()
+                == evaluate(fresh_docs, labels, synth_cfg).to_dict())
+        for a in shared.analyses:
+            # A book seen on an earlier shelf is not analysed again.
+            assert kept.setdefault(a.book_id, a) is a
+
+
+def test_the_kept_analysis_is_never_saved(tmp_path, synth_small, synth_cfg):
+    docs = [replace(d) for d in synth_small.documents[:2]]
+    save_store(docs, tmp_path / "before.json")
+    analyze_corpus(docs, synth_cfg)
+    assert all(d._analysis is not None for d in docs)
+    save_store(docs, tmp_path / "after.json")
+    assert (tmp_path / "before.json").read_bytes() == (tmp_path / "after.json").read_bytes()
+    assert load_store(tmp_path / "after.json") == docs
+    assert "_analysis" not in repr(docs[0])
