@@ -18,7 +18,8 @@ from pathlib import Path
 
 from .errors import AliasError, ConfigError, EmptyDocument, FormatError, LexiconError
 
-_WORD_RE = re.compile(r"\w+(?:['’]\w+)*", re.UNICODE)
+# One capture group, so split() alternates gap, word, gap, ..., gap.
+_WORD_SPLIT = re.compile(r"(\w+(?:['’]\w+)*)")
 _SENTENCE_END = frozenset(".!?")
 
 
@@ -72,22 +73,45 @@ def tokenize(text: str) -> Tokens:
     containing ``.``, ``!`` or ``?`` separates it from the previous word
     (the very first token of a text counts too).
     """
-    texts, capitalized, starts = [], [], []
-    intern = sys.intern
-    last_end = 0
-    for match in _WORD_RE.finditer(text):
-        surface = match.group(0)
-        starts.append(not starts or not _SENTENCE_END.isdisjoint(text[last_end:match.start()]))
-        texts.append(intern(surface.lower()))
-        capitalized.append(surface[0].isupper())
-        last_end = match.end()
-    return Tokens(texts, capitalized, starts)
+    parts = _WORD_SPLIT.split(text)
+    words = parts[1::2]
+    if not words:
+        return Tokens([], [], [])
+    gaps = parts[2:-1:2]     # gaps[i] lies between words[i] and words[i + 1]
+    # A text repeats a few gap strings over and over: test each one once.
+    ends = {gap: not _SENTENCE_END.isdisjoint(gap) for gap in set(gaps)}
+    return Tokens(list(map(sys.intern, map(str.lower, words))),
+                  [word[0].isupper() for word in words],
+                  [True, *map(ends.__getitem__, gaps)])
+
+
+def _not_utf8(path, error_type):
+    """``error_type`` for a file that is not UTF-8, naming its first bad byte's offset."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return error_type(f"{path}: byte 0x{data[exc.start]:02x} at offset {exc.start} "
+                          "is not UTF-8")
+    return error_type(f"{path}: not UTF-8")
+
+
+def _utf8_lines(path, error_type):
+    """The lines of a UTF-8 text file; a byte that does not decode raises ``error_type``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError:
+            raise _not_utf8(path, error_type) from None
 
 
 def load_plain_text(path, book_id: str, title: str | None = None,
                     author: str | None = None, language: str = "en") -> BookDocument:
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise _not_utf8(path, FormatError) from None
     tokens = tokenize(text)
     if not tokens:
         raise EmptyDocument(f"{path}: no tokens")
@@ -108,46 +132,45 @@ def load_cmu_summaries(path):
     documents = []
     skipped = 0
     seen_ids = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            cols = line.split("\t", 6)
-            if len(cols) < 7:
+    for line in _utf8_lines(path, FormatError):
+        line = line.rstrip("\n")
+        if not line.strip():
+            continue
+        cols = line.split("\t", 6)
+        if len(cols) < 7:
+            skipped += 1
+            continue
+        wiki_id, freebase_id, title, author, pub_date, genres_raw, summary = cols
+        wiki_id = wiki_id.strip()
+        if not wiki_id or wiki_id in seen_ids:
+            skipped += 1
+            continue
+        genres_raw = genres_raw.strip()
+        if genres_raw:
+            try:
+                genre_map = json.loads(genres_raw)
+            except json.JSONDecodeError:
                 skipped += 1
                 continue
-            wiki_id, freebase_id, title, author, pub_date, genres_raw, summary = cols
-            wiki_id = wiki_id.strip()
-            if not wiki_id or wiki_id in seen_ids:
+            if not isinstance(genre_map, dict):
                 skipped += 1
                 continue
-            genres_raw = genres_raw.strip()
-            if genres_raw:
-                try:
-                    genre_map = json.loads(genres_raw)
-                except json.JSONDecodeError:
-                    skipped += 1
-                    continue
-                if not isinstance(genre_map, dict):
-                    skipped += 1
-                    continue
-                genres = list(genre_map.values())
-            else:
-                genres = []
-            seen_ids.add(wiki_id)
-            documents.append(BookDocument(
-                book_id=wiki_id,
-                title=title.strip(),
-                author=author.strip() or None,
-                tokens=tokenize(summary),
-                metadata={
-                    "genres": genres,
-                    "summary": summary,
-                    "freebase_id": freebase_id.strip() or None,
-                    "pub_date": pub_date.strip() or None,
-                },
-            ))
+            genres = list(genre_map.values())
+        else:
+            genres = []
+        seen_ids.add(wiki_id)
+        documents.append(BookDocument(
+            book_id=wiki_id,
+            title=title.strip(),
+            author=author.strip() or None,
+            tokens=tokenize(summary),
+            metadata={
+                "genres": genres,
+                "summary": summary,
+                "freebase_id": freebase_id.strip() or None,
+                "pub_date": pub_date.strip() or None,
+            },
+        ))
     return documents, skipped
 
 
@@ -167,22 +190,21 @@ def segment_blocks(doc: BookDocument, block_size: int) -> list:
 def load_lexicon(path) -> dict:
     """Lowercased term -> polarity in [-1, 1]; a repeated term's last entry wins."""
     entries = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            parts = body.split("\t")
-            if len(parts) != 2:
-                raise LexiconError(f"line {line_no}: expected term<TAB>polarity", line_no)
-            term, raw_polarity = parts[0].strip().lower(), parts[1].strip()
-            try:
-                polarity = float(raw_polarity)
-            except ValueError:
-                raise LexiconError(f"line {line_no}: polarity {raw_polarity!r} is not a number", line_no)
-            if not -1.0 <= polarity <= 1.0:
-                raise LexiconError(f"line {line_no}: polarity {polarity} outside [-1, 1]", line_no)
-            entries[term] = polarity
+    for line_no, line in enumerate(_utf8_lines(path, LexiconError), start=1):
+        body = line.split("#", 1)[0].strip()
+        if not body:
+            continue
+        parts = body.split("\t")
+        if len(parts) != 2:
+            raise LexiconError(f"line {line_no}: expected term<TAB>polarity", line_no)
+        term, raw_polarity = parts[0].strip().lower(), parts[1].strip()
+        try:
+            polarity = float(raw_polarity)
+        except ValueError:
+            raise LexiconError(f"line {line_no}: polarity {raw_polarity!r} is not a number", line_no)
+        if not -1.0 <= polarity <= 1.0:
+            raise LexiconError(f"line {line_no}: polarity {polarity} outside [-1, 1]", line_no)
+        entries[term] = polarity
     return entries
 
 
@@ -231,10 +253,10 @@ def _tokens_from_payload(columns) -> Tokens:
         raise TypeError("token columns must be lists")
     if not len(text) == len(capitalized) == len(starts):
         raise ValueError("token columns differ in length")
-    if not set(capitalized + starts) <= {0, 1}:
+    if not {*capitalized, *starts} <= {0, 1}:
         raise ValueError("token flags must be 0 or 1")
-    return Tokens(list(map(sys.intern, text)), [c == 1 for c in capitalized],
-                  [s == 1 for s in starts])
+    return Tokens(list(map(sys.intern, text)), list(map(bool, capitalized)),
+                  list(map(bool, starts)))
 
 
 def load_store(path) -> list:
@@ -243,6 +265,8 @@ def load_store(path) -> list:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: invalid JSON: {exc}", offset=exc.pos)
+        except UnicodeDecodeError:
+            raise _not_utf8(path, FormatError) from None
     if not isinstance(payload, dict) or payload.get("format") != STORE_FORMAT:
         raise FormatError(f"{path}: not a document store")
     if payload.get("version") != STORE_VERSION:
@@ -294,17 +318,16 @@ class AliasTable:
 def load_aliases(path) -> AliasTable:
     """Parse an alias sidecar: ``Canonical<TAB>alias1,alias2,...`` per line."""
     table = AliasTable()
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            parts = body.split("\t")
-            if len(parts) != 2:
-                raise AliasError(f"line {line_no}: expected Canonical<TAB>aliases")
-            canonical, alias_csv = parts[0].strip(), parts[1]
-            aliases = [a.strip() for a in alias_csv.split(",") if a.strip()]
-            if not canonical or not aliases:
-                raise AliasError(f"line {line_no}: empty canonical name or alias list")
-            table.add(canonical, aliases)
+    for line_no, line in enumerate(_utf8_lines(path, AliasError), start=1):
+        body = line.split("#", 1)[0].strip()
+        if not body:
+            continue
+        parts = body.split("\t")
+        if len(parts) != 2:
+            raise AliasError(f"line {line_no}: expected Canonical<TAB>aliases")
+        canonical, alias_csv = parts[0].strip(), parts[1]
+        aliases = [a.strip() for a in alias_csv.split(",") if a.strip()]
+        if not canonical or not aliases:
+            raise AliasError(f"line {line_no}: empty canonical name or alias list")
+        table.add(canonical, aliases)
     return table

@@ -22,6 +22,7 @@ import csv
 import math
 from dataclasses import dataclass
 from math import fsum, log1p, sqrt
+from operator import add, mul
 
 from .errors import DegenerateSeries, LengthMismatch
 from .series import SentimentSeries, align_lengths
@@ -48,20 +49,21 @@ def _evaluate(s1, s2) -> tuple:
     the continuous extension of the formula, 1, comes out. Two all-zero
     series take PS = 0.5 and score 1 the same way.
     """
-    rs = [a + b for a, b in zip(s1, s2)]
+    rs = list(map(add, s1, s2))
     total = fsum(rs)
     ps = fsum(s1) / total if total != 0.0 else 0.5
-    n = [sqrt(r) for r in rs]
+    n = list(map(sqrt, rs))
     if total == 0.0 or ps <= 0.0 or ps >= 1.0:
         cf = [0.0] * len(rs)
     else:
+        qs = 1.0 - ps
         # A tiny RS (around 1e-200 and below) can underflow the product
         # to 0; the factored root then keeps the denominator nonzero.
         cf = [0.0 if r == 0.0 else
-              (ps * r - v) / (sqrt(r * ps * (1.0 - ps)) or sqrt(r) * sqrt(ps * (1.0 - ps)))
+              (ps * r - v) / (sqrt(r * ps * qs) or sqrt(r) * sqrt(ps * qs))
               for v, r in zip(s1, rs)]
     denom = fsum(n)
-    sd = fsum([c * c * w for c, w in zip(cf, n)]) / denom if denom != 0.0 else 0.0
+    sd = fsum(map(mul, map(mul, cf, cf), n)) / denom if denom != 0.0 else 0.0
     return rs, ps, cf, n, sd, 1.0 / (1.0 + log1p(sd))
 
 
@@ -71,8 +73,10 @@ def spsi(s1, s2) -> float:
     Operands are ordered canonically before evaluation so that
     spsi(a, b) and spsi(b, a) return the identical float.
     """
-    a = list(s1)
-    b = list(s2)
+    return _canonical_spsi(list(s1), list(s2))
+
+
+def _canonical_spsi(a: list, b: list) -> float:
     _check_pair(a, b)
     if b < a:
         a, b = b, a
@@ -86,7 +90,7 @@ def score(s1: SentimentSeries, s2: SentimentSeries, ratio_limit: float = 0.3) ->
     distances and search) goes through here.
     """
     a, b = align_lengths(s1, s2, ratio_limit)
-    return spsi(a.values(), b.values())
+    return _canonical_spsi(a.values(), b.values())
 
 
 @dataclass(frozen=True)

@@ -50,7 +50,10 @@ def ref_average_linkage(pair_sims, ids, dt):
     def avg(a, b):
         vals = [pair_sims[(min(x, y), max(x, y))]
                 for x in members[a] for y in members[b]]
-        return sum(vals) / len(vals)
+        total = 0.0
+        for v in vals:   # left to right, as cluster_matrix adds; sum() compensates from 3.12
+            total += v
+        return total / len(vals)
 
     trace = []
     while len(members) > 1:

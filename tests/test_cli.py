@@ -288,6 +288,23 @@ def test_negative_series_values_are_data_errors(cli_corpus, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("files, arg", [
+    ({"book.txt": b"Mara walked.\xff Mara ran.\n"}, "book.txt"),
+    ({"summaries.tsv": b"1\t/m/1\tTitle\tAuthor\t2000\t{}\tMara \xff ran.\n"}, "summaries.tsv"),
+    ({"store.json": b'{"format":"arcindex-store",\xff}'}, "store.json"),
+    ({"corpus/b1.txt": b"Mara walked. Mara ran.\n",
+      "corpus/aliases.tsv": b"Mara\tMar\xff\n"}, "corpus"),
+], ids=["text", "summaries", "store", "aliases"])
+def test_undecodable_input_is_a_data_error(tmp_path, capsys, files, arg):
+    for name, data in files.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_bytes(data)
+    assert main(["ingest", str(tmp_path / arg)]) == 2
+    err = capsys.readouterr().err
+    assert "is not UTF-8" in err
+    assert "Traceback" not in err
+
+
 def test_search_rejects_an_overflowing_catalogue_number(cli_corpus, tmp_path, capsys):
     catalogue = tmp_path / "catalogue.json"
     assert main(["index", str(cli_corpus), "-o", str(catalogue)] + SET_BLOCKS) == 0

@@ -16,10 +16,13 @@ from arcindex.ingest import (AliasTable, BookDocument, load_aliases,
                              save_store, segment_blocks, tokenize)
 from oracle_reference import ref_tokenize
 
-# Letters of any script and case, digits, and the characters that decide
-# word and sentence boundaries.
-TEXT = st.text(st.one_of(st.characters(categories=["Lu", "Ll", "Nd"]),
-                         st.sampled_from("_'’.!?, \t\n\u00a0\u2003")))
+# Letters of any script and case (titlecase and caseless ones too; İ
+# lowercases to two characters, ẞ to ß), letter-like numbers, combining
+# marks (not \w), digits, and the characters that decide word and
+# sentence boundaries.
+TEXT = st.text(st.one_of(st.characters(categories=["Lu", "Ll", "Lt", "Lo", "Mn", "Nd",
+                                                   "Nl", "No"]),
+                         st.sampled_from("İẞǅ_'’.!?, \t\n\u00a0\u2003")))
 
 
 def test_tokenize_lowercases_and_flags_capitals():
@@ -48,6 +51,7 @@ def test_tokenize_matches_the_per_token_reference(text):
     assert tokens.text == [t.text for t in ref]
     assert tokens.capitalized == [t.capitalized for t in ref]
     assert tokens.sentence_start == [t.sentence_start for t in ref]
+    assert all(t is sys.intern(t) for t in tokens.text)
 
 
 def test_tokenize_empty_text():
@@ -60,6 +64,21 @@ def test_load_plain_text_uses_stem_as_title(tmp_path):
     doc = load_plain_text(path, book_id="b1")
     assert doc.title == "quiet harbor"
     assert doc.token_count == 3
+
+
+@pytest.mark.parametrize("loader, error", [
+    (lambda path: load_plain_text(path, book_id="b1"), FormatError),
+    (load_cmu_summaries, FormatError),
+    (load_store, FormatError),
+    (load_lexicon, LexiconError),
+    (load_aliases, AliasError),
+], ids=["text", "summaries", "store", "lexicon", "aliases"])
+def test_undecodable_files_name_the_byte_offset(tmp_path, loader, error):
+    path = tmp_path / "input"
+    prefix = b"# a comment line\n" * 2000    # beyond the first chunk a text file reads
+    path.write_bytes(prefix + b"caf\xe9\n")
+    with pytest.raises(error, match=f"byte 0xe9 at offset {len(prefix) + 3} is not UTF-8"):
+        loader(path)
 
 
 def test_load_plain_text_rejects_empty_files(tmp_path):
