@@ -11,8 +11,7 @@ from .baselines import (AgreementReport, agreement, baseline1_vectors,
                         baseline2_vectors, cosine, partition_from_similarity,
                         similarity_matrix_from_vectors)
 from .catalogue import (FORMAT_VERSION, Catalogue, CatalogueEntry, IndexCluster,
-                        build_catalogue, load, nearest_cluster, quantize, save,
-                        search_similar)
+                        build_catalogue, load, nearest_cluster, save, search_similar)
 from .characters import (CharacterProfile, CoOccurrenceEdge, co_occurrence,
                          extract_characters, select_core, select_prime)
 from .clustering import (Cluster, cluster_matrix, cluster_report, cluster_series,
@@ -32,9 +31,9 @@ from .pipeline import (BookAnalysis, CorpusResult, EvaluationReport, analyze_boo
 from .pivots import (InteractionIndex, PivotPoint, block_sentiment,
                      block_sentiments, compute_interactions, detect_pivots,
                      predominant_pair, smooth)
-from .series import (INTERPOLATED, PRIMARY, SECONDARY, ContextBlock,
-                     SentimentSeries, SeriesPoint, align_lengths, build_series,
-                     export_series_csv, read_series_csv, resample_secondary)
+from .series import (INTERPOLATED, PRIMARY, SECONDARY, SentimentSeries, SeriesPoint,
+                     align_lengths, build_series, export_series_csv, read_series_csv,
+                     resample_secondary)
 from .similarity import (SimilarityMatrix, SpsiBreakdown, read_matrix_csv, score,
                          spsi, spsi_breakdown, spsi_matrix, write_matrix_csv)
 from .synth import (DEFAULT_TEMPLATES, ArcTemplate, GenSpec, SynthResult,

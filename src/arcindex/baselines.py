@@ -79,7 +79,11 @@ def baseline2_vectors(docs) -> dict:
 
 
 def _norm(u: dict) -> float:
-    return math.sqrt(sum(w * w for w in u.values()))
+    # Left to right, not sum(): 3.12's compensated sum gives other bits.
+    total = 0.0
+    for w in u.values():
+        total += w * w
+    return math.sqrt(total)
 
 
 def _cosine(u: dict, norm_u: float, v: dict, norm_v: float) -> float:
@@ -87,7 +91,10 @@ def _cosine(u: dict, norm_u: float, v: dict, norm_v: float) -> float:
         return 0.0
     if len(v) < len(u):
         u, v = v, u
-    dot = sum(w * v[term] for term, w in u.items() if term in v)
+    dot = 0.0
+    for term, w in u.items():
+        if term in v:
+            dot += w * v[term]
     return dot / (norm_u * norm_v)
 
 

@@ -1,9 +1,13 @@
 """The searchable catalogue: cluster index points plus per-book entries.
 
-Every float stored in a catalogue is quantized to 9 significant digits
-at build time. Decimal literals that short round-trip exactly through
-binary floats, so save/load is lossless and repeated saves are byte
-identical.
+A catalogue stores each member's analysed series and each cluster
+representative as they are, and every float is written as its
+``repr``, which reads back as the same float. So save/load is lossless,
+repeated saves are byte identical, and a search scores a pair exactly
+as indexing did, except where alignment would promote secondary pivots
+from a book's context, which is not stored. Every stored point is
+primary (members come from pivots, representatives are means), so
+points are stored without provenance.
 """
 
 from __future__ import annotations
@@ -16,7 +20,8 @@ from math import isfinite
 from pathlib import Path
 
 from .errors import EmptyCatalogue, FormatError, UnknownBook, VersionError
-from .series import PRIMARY, SentimentSeries, SeriesPoint
+from .ingest import _not_utf8
+from .series import SentimentSeries, SeriesPoint
 from .similarity import score
 
 FORMAT_VERSION = "1.0"
@@ -25,16 +30,6 @@ __all__ = [
     "CatalogueEntry", "Catalogue", "build_catalogue", "save", "load",
     "search_similar", "nearest_cluster", "FORMAT_VERSION",
 ]
-
-
-def quantize(x: float) -> float:
-    return float(f"{x:.9g}")
-
-
-def _quantize_series(series: SentimentSeries) -> SentimentSeries:
-    points = [SeriesPoint(quantize(p.position), quantize(p.value), p.provenance)
-              for p in series.points]
-    return SentimentSeries(book_id=series.book_id, points=points)
 
 
 @dataclass
@@ -88,17 +83,17 @@ def build_catalogue(clusters, series_by_id: dict, cfg, book_meta: dict) -> Catal
     index_clusters = []
     entries = []
     for cluster in sorted(clusters, key=lambda c: str(c.cluster_id)):
-        rep = _quantize_series(cluster.representative)
         cid = str(cluster.cluster_id)
+        rep = SentimentSeries(book_id=f"cluster:{cid}", points=cluster.representative.points)
         index_clusters.append(IndexCluster(
             cluster_id=cid,
             members=sorted(str(m) for m in cluster.members),
-            representative=SentimentSeries(book_id=f"cluster:{cid}", points=rep.points),
+            representative=rep,
         ))
         cluster_entries = []
         for member in cluster.members:
-            series = _quantize_series(series_by_id[member])
-            distance = quantize(1.0 - score(series, rep, ratio_limit))
+            series = series_by_id[member]
+            distance = 1.0 - score(series, rep, ratio_limit)
             title, author = book_meta.get(member, (str(member), None))
             cluster_entries.append(CatalogueEntry(
                 book_id=str(member),
@@ -110,14 +105,12 @@ def build_catalogue(clusters, series_by_id: dict, cfg, book_meta: dict) -> Catal
             ))
         cluster_entries.sort(key=lambda e: (e.distance, e.title))
         entries.extend(cluster_entries)
-    config = {k: (quantize(v) if isinstance(v, float) else v) for k, v in settings.items()}
-    return Catalogue(format_version=FORMAT_VERSION, config=config,
+    return Catalogue(format_version=FORMAT_VERSION, config=settings,
                      clusters=index_clusters, entries=entries)
 
 
 def _series_payload(series: SentimentSeries) -> list:
-    return [{"position": p.position, "value": p.value, "provenance": p.provenance}
-            for p in series.points]
+    return [{"position": p.position, "value": p.value} for p in series.points]
 
 
 def _series_from_payload(book_id: str, payload) -> SentimentSeries:
@@ -129,7 +122,7 @@ def _series_from_payload(book_id: str, payload) -> SentimentSeries:
             raise ValueError(f"non-finite point in the series of {book_id!r}")
         if value < 0.0:
             raise ValueError(f"negative value in the series of {book_id!r}")
-        points.append(SeriesPoint(position, value, p.get("provenance", PRIMARY)))
+        points.append(SeriesPoint(position, value))
     return SentimentSeries(book_id=book_id, points=points)
 
 
@@ -175,7 +168,10 @@ def save(catalogue: Catalogue, path) -> None:
 
 
 def load(path) -> Catalogue:
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise _not_utf8(path, FormatError) from None
 
     def reject_constant(name):
         raise FormatError(f"{path}: non-finite number {name} in catalogue")

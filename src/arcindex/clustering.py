@@ -143,46 +143,40 @@ def _mean_series(cluster_id, member_series, ratio_limit: float) -> SentimentSeri
     count = len(aligned)
     points = []
     for i in range(length):
-        position = sum(s.points[i].position for s in aligned) / count
-        value = sum(s.points[i].value for s in aligned) / count
-        points.append(SeriesPoint(position, value, PRIMARY))
+        # Left to right, not sum(): 3.12's compensated sum gives other bits.
+        position = value = 0.0
+        for s in aligned:
+            p = s.points[i]
+            position += p.position
+            value += p.value
+        points.append(SeriesPoint(position / count, value / count, PRIMARY))
     return SentimentSeries(book_id=f"cluster:{cluster_id}", points=points)
 
 
-def cluster_series(series_list, cfg: PipelineConfig,
-                   matrix: SimilarityMatrix | None = None,
-                   dt: float | None = None):
+def cluster_series(series_list, cfg: PipelineConfig, matrix: SimilarityMatrix):
     """Cluster series by SPSI of representatives.
 
-    Returns (clusters, resolved_dt, global_trace). An existing all-pairs
-    matrix seeds the initial similarities and the adaptive threshold;
-    otherwise pairs are scored on demand. The matrix must be symmetric,
-    as ``spsi_matrix``'s is bit for bit.
+    Returns (clusters, resolved_dt, global_trace). The all-pairs matrix
+    of the series seeds the initial similarities and the adaptive
+    threshold. It must be symmetric, as ``spsi_matrix``'s is bit for bit.
     """
     series_by_id = {s.book_id: s for s in series_list}
     if len(series_by_id) != len(series_list):
         raise ValueError("duplicate book_id in series list")
-    if dt is None:
-        if matrix is None and cfg.dt_mode == "adaptive":
-            from .similarity import spsi_matrix
-            matrix = spsi_matrix(series_list, cfg.length_ratio_limit)
-        dt = resolve_threshold(matrix, cfg) if matrix is not None else cfg.dt
-
+    if sorted(matrix.book_ids) != sorted(series_by_id):
+        raise ValueError("matrix book_ids do not match the series list")
+    dt = resolve_threshold(matrix, cfg)
+    pos = {book_id: i for i, book_id in enumerate(matrix.book_ids)}
     state = {
         s.book_id: Cluster(cluster_id=s.book_id, members=[s.book_id],
                            representative=s, merge_trace=[])
         for s in series_list
     }
-    pos = {}
-    if matrix is not None:
-        if sorted(matrix.book_ids) != sorted(series_by_id):
-            raise ValueError("matrix book_ids do not match the series list")
-        pos = {book_id: i for i, book_id in enumerate(matrix.book_ids)}
 
     def similarity_of(a, b):
         # Two singletons read the matrix in place; it is symmetric, so
         # the order of a and b does not matter.
-        if matrix is not None and len(state[a].members) == 1 and len(state[b].members) == 1:
+        if len(state[a].members) == 1 and len(state[b].members) == 1:
             return matrix.values[pos[a]][pos[b]]
         return score(state[a].representative, state[b].representative,
                      cfg.length_ratio_limit)

@@ -11,6 +11,7 @@ import dataclasses
 from dataclasses import dataclass
 
 from .errors import ConfigError
+from .ingest import _utf8_lines
 
 
 @dataclass
@@ -93,8 +94,7 @@ def parse_config_text(text: str, base: PipelineConfig | None = None) -> Pipeline
 
 
 def load_config(path, base: PipelineConfig | None = None) -> PipelineConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read(), base=base)
+    return parse_config_text("".join(_utf8_lines(path, ConfigError)), base=base)
 
 
 def format_config(cfg: PipelineConfig) -> str:

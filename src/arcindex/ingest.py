@@ -96,9 +96,12 @@ def _not_utf8(path, error_type):
     return error_type(f"{path}: not UTF-8")
 
 
-def _utf8_lines(path, error_type):
-    """The lines of a UTF-8 text file; a byte that does not decode raises ``error_type``."""
-    with open(path, "r", encoding="utf-8") as fh:
+def _utf8_lines(path, error_type, newline=None):
+    """The lines of a UTF-8 text file; a byte that does not decode raises ``error_type``.
+
+    ``newline`` is passed to ``open``; csv readers need ``""``.
+    """
+    with open(path, "r", encoding="utf-8", newline=newline) as fh:
         try:
             yield from fh
         except UnicodeDecodeError:

@@ -17,10 +17,11 @@ from .characters import co_occurrence, extract_characters, select_core, select_p
 from .clustering import cluster_series, resolve_threshold
 from .config import PipelineConfig
 from .errors import ArcIndexError, FormatError
-from .ingest import (AliasTable, BookDocument, load_aliases, load_cmu_summaries,
-                     load_default_lexicon, load_plain_text, segment_blocks)
+from .ingest import (AliasTable, BookDocument, _utf8_lines, load_aliases,
+                     load_cmu_summaries, load_default_lexicon, load_plain_text,
+                     segment_blocks)
 from .pivots import block_sentiments, compute_interactions, predominant_pair, smooth
-from .series import ContextBlock, SentimentSeries, build_series
+from .series import SentimentSeries, build_series
 from .similarity import SimilarityMatrix, spsi_matrix
 
 __all__ = [
@@ -81,16 +82,8 @@ def _analyze(doc, cfg, lexicon, aliases) -> BookAnalysis:
     pair, pivots = predominant_pair(core, interactions, sentiments, smoothed, cfg)
     series = build_series(doc.book_id, pivots)
     denom = len(blocks) - 1
-    interacting = set(interactions.interacting_blocks(pair))
-    series.context = [
-        ContextBlock(
-            position=b / denom if denom > 0 else 0.0,
-            value=sentiments[b],
-            smoothed=smoothed[b],
-            interacting=b in interacting,
-        )
-        for b in range(len(blocks))
-    ]
+    ranked = sorted(interactions.interacting_blocks(pair), key=lambda b: (-smoothed[b], b))
+    series.context = [(b / denom if denom > 0 else 0.0, sentiments[b]) for b in ranked]
     return BookAnalysis(
         book_id=doc.book_id,
         title=doc.title,
@@ -239,14 +232,14 @@ def load_labels(path) -> dict:
     """Read a two-column ``book_id,label`` CSV (header optional)."""
     import csv
 
+    rows = list(csv.reader(_utf8_lines(path, FormatError, newline="")))
     labels = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row_no, row in enumerate(csv.reader(fh), start=1):
-            if not row or row[0].strip().lower() == "book_id":
-                continue
-            if len(row) < 2:
-                raise FormatError(f"{path}: row {row_no}: expected book_id,label")
-            labels[row[0].strip()] = row[1].strip()
+    for row_no, row in enumerate(rows, start=1):
+        if not row or row[0].strip().lower() == "book_id":
+            continue
+        if len(row) < 2:
+            raise FormatError(f"{path}: row {row_no}: expected book_id,label")
+        labels[row[0].strip()] = row[1].strip()
     return labels
 
 

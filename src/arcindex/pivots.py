@@ -62,7 +62,12 @@ def smooth(values, radius: int) -> list:
     for i in range(n):
         lo = max(0, i - radius)
         hi = min(n, i + radius + 1)
-        out.append(sum(values[lo:hi]) / (hi - lo))
+        # Add left to right: since Python 3.12, sum() of floats is
+        # compensated and would give other bits than 3.10 and 3.11.
+        total = 0.0
+        for value in values[lo:hi]:
+            total += value
+        out.append(total / (hi - lo))
     return out
 
 
@@ -169,7 +174,9 @@ def predominant_pair(core_names, interactions: InteractionIndex, sentiments,
             pivots = detect_pivots(pair_key, interactions, sentiments, smoothed, cfg)
         except NoPivots:
             continue
-        total = sum(p.occurrence_weight for p in pivots)
+        total = 0.0
+        for p in pivots:
+            total += p.occurrence_weight
         candidate = (-total, pair_key)
         if best is None or candidate < best[0]:
             best = (candidate, pair_key, pivots)

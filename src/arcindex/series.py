@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import DegenerateSeries, FormatError, TooFewPivots
+from .ingest import _utf8_lines
 
 PRIMARY = "primary"
 INTERPOLATED = "interpolated"
@@ -30,15 +31,6 @@ class SeriesPoint:
     provenance: str = PRIMARY
 
 
-@dataclass(frozen=True, slots=True)
-class ContextBlock:
-    """One logical block of the originating book, kept for resampling."""
-    position: float
-    value: float        # raw block sentiment
-    smoothed: float
-    interacting: bool
-
-
 @dataclass
 class SentimentSeries:
     """A book's progression series.
@@ -50,8 +42,10 @@ class SentimentSeries:
     """
     book_id: str
     points: list
-    # Block-level context from the source book; not persisted and not
-    # part of equality, only consulted when promoting secondary pivots.
+    # The source book's blocks where the predominant pair interacts, as
+    # (position, block sentiment) tuples ranked best first: highest
+    # smoothed sentiment, then earliest block. Only consulted when
+    # promoting secondary pivots; not persisted, not part of equality.
     context: list | None = field(default=None, compare=False, repr=False)
     # Grown copies keyed by (target length, promoted); see align_lengths.
     _grown: dict = field(default_factory=dict, init=False, compare=False, repr=False)
@@ -120,36 +114,33 @@ def _primary_bounds(points, position: float):
 def resample_secondary(series: SentimentSeries, deficit: int) -> SentimentSeries:
     """Grow a series by promoting secondary pivots from its source book.
 
-    Each inserted point is the interacting block with the highest
-    smoothed sentiment strictly inside the current widest gap. Its value
-    is the average of the block's own sentiment and the straight-line
-    value between the bracketing primary pivots. Gaps with no eligible
-    block fall back to midpoint interpolation.
+    Each inserted point is the best-ranked context block strictly inside
+    the current widest gap; the gap lies between adjacent points, so no
+    point sits there yet. Its value is the average of the block's own
+    sentiment and the straight-line value between the bracketing primary
+    pivots. Gaps with no context block fall back to midpoint
+    interpolation.
     """
     if deficit <= 0:
         return series
     points = list(series.points)
-    context = series.context or []
+    context = series.context or ()
     for _ in range(deficit):
         i = _largest_gap(points)
         lo, hi = points[i], points[i + 1]
-        used = {p.position for p in points}
-        candidates = [
-            cb for cb in context
-            if cb.interacting and lo.position < cb.position < hi.position
-            and cb.position not in used
-        ]
-        if candidates:
-            chosen = max(candidates, key=lambda cb: (cb.smoothed, -cb.position))
-            p_left, p_right = _primary_bounds(points, chosen.position)
-            if p_left is None or p_right is None:
-                baseline = _lerp(lo, hi, chosen.position)
-            else:
-                baseline = _lerp(p_left, p_right, chosen.position)
-            value = (chosen.value + baseline) / 2.0
-            points = points[:i + 1] + [SeriesPoint(chosen.position, value, SECONDARY)] + points[i + 1:]
-        else:
+        chosen = next((block for block in context
+                       if lo.position < block[0] < hi.position), None)
+        if chosen is None:
             points = _insert_midpoint(points)
+            continue
+        position, block_value = chosen
+        p_left, p_right = _primary_bounds(points, position)
+        if p_left is None or p_right is None:
+            baseline = _lerp(lo, hi, position)
+        else:
+            baseline = _lerp(p_left, p_right, position)
+        value = (block_value + baseline) / 2.0
+        points = points[:i + 1] + [SeriesPoint(position, value, SECONDARY)] + points[i + 1:]
     return SentimentSeries(book_id=series.book_id, points=points, context=series.context)
 
 
@@ -199,27 +190,27 @@ def read_series_csv(path, book_id: str | None = None) -> SentimentSeries:
     """Read ``position,value[,provenance]`` rows; header optional."""
     path = Path(path)
     points = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row_no, row in enumerate(csv.reader(fh), start=1):
-            if not row or not "".join(row).strip():
-                continue
-            if row_no == 1 and row[0].strip().lower() == "position":
-                continue
-            if len(row) not in (2, 3):
-                raise FormatError(f"{path}: row {row_no}: expected 2 or 3 columns")
-            try:
-                position = float(row[0])
-                value = float(row[1])
-            except ValueError:
-                raise FormatError(f"{path}: row {row_no}: non-numeric position/value")
-            if not (math.isfinite(position) and math.isfinite(value)):
-                raise FormatError(f"{path}: row {row_no}: non-finite position/value")
-            if value < 0.0:
-                raise FormatError(f"{path}: row {row_no}: negative value {value}")
-            provenance = row[2].strip() if len(row) == 3 else PRIMARY
-            if provenance not in _PROVENANCE:
-                raise FormatError(f"{path}: row {row_no}: unknown provenance {provenance!r}")
-            points.append(SeriesPoint(position, value, provenance))
+    rows = list(csv.reader(_utf8_lines(path, FormatError, newline="")))
+    for row_no, row in enumerate(rows, start=1):
+        if not row or not "".join(row).strip():
+            continue
+        if row_no == 1 and row[0].strip().lower() == "position":
+            continue
+        if len(row) not in (2, 3):
+            raise FormatError(f"{path}: row {row_no}: expected 2 or 3 columns")
+        try:
+            position = float(row[0])
+            value = float(row[1])
+        except ValueError:
+            raise FormatError(f"{path}: row {row_no}: non-numeric position/value")
+        if not (math.isfinite(position) and math.isfinite(value)):
+            raise FormatError(f"{path}: row {row_no}: non-finite position/value")
+        if value < 0.0:
+            raise FormatError(f"{path}: row {row_no}: negative value {value}")
+        provenance = row[2].strip() if len(row) == 3 else PRIMARY
+        if provenance not in _PROVENANCE:
+            raise FormatError(f"{path}: row {row_no}: unknown provenance {provenance!r}")
+        points.append(SeriesPoint(position, value, provenance))
     if len(points) < 2:
         raise FormatError(f"{path}: need at least 2 points")
     for a, b in zip(points, points[1:]):

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 from math import fsum, log1p, sqrt
 from operator import add, mul
 
-from .errors import DegenerateSeries, LengthMismatch
+from .errors import DegenerateSeries, FormatError, LengthMismatch
+from .ingest import _utf8_lines
 from .series import SentimentSeries, align_lengths
 
 __all__ = [
@@ -160,10 +161,8 @@ def write_matrix_csv(matrix: SimilarityMatrix, path) -> None:
 
 def read_matrix_csv(path) -> SimilarityMatrix:
     """Read a square similarity matrix with a book_id header row/column."""
-    from .errors import FormatError
-
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row and "".join(row).strip()]
+    rows = [row for row in csv.reader(_utf8_lines(path, FormatError, newline=""))
+            if row and "".join(row).strip()]
     if len(rows) < 2:
         raise FormatError(f"{path}: empty matrix")
     ids = [c.strip() for c in rows[0][1:]]

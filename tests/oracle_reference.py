@@ -80,6 +80,50 @@ def ref_adaptive_threshold(pair_sims):
     return mean + 0.5 * math.sqrt(var)
 
 
+def _ref_lerp(lo, hi, position):
+    span = hi[0] - lo[0]
+    if span <= 0.0:
+        return (lo[1] + hi[1]) / 2.0
+    t = (position - lo[0]) / span
+    return lo[1] + t * (hi[1] - lo[1])
+
+
+def ref_resample_secondary(points, blocks, deficit):
+    """Grow a series by deficit points, promoting secondary pivots.
+
+    points are (position, value, provenance) tuples, provenance one of
+    "primary", "interpolated" and "secondary-pivot". blocks hold every
+    block of the source book as (position, value, smoothed, interacting).
+    Each step splits the widest gap, ties to the earliest. Among the
+    interacting blocks strictly inside it and at no point's position,
+    the one with the highest smoothed value, ties to the earliest,
+    becomes a "secondary-pivot" point. Its value is the mean of the
+    block's value and the straight line between the nearest primary
+    points left and right of it, or between the gap's ends when a side
+    has none. A gap without such a block gets an "interpolated" point at
+    its midpoint, on the straight line between the gap's ends.
+    """
+    points = list(points)
+    for _ in range(deficit):
+        gaps = [b[0] - a[0] for a, b in zip(points, points[1:])]
+        i = gaps.index(max(gaps))
+        lo, hi = points[i], points[i + 1]
+        used = {p[0] for p in points}
+        candidates = [b for b in blocks
+                      if b[3] and lo[0] < b[0] < hi[0] and b[0] not in used]
+        if candidates:
+            position, value, _, _ = max(candidates, key=lambda b: (b[2], -b[0]))
+            left = [p for p in points if p[2] == "primary" and p[0] < position]
+            right = [p for p in points if p[2] == "primary" and p[0] > position]
+            a, b = (left[-1], right[0]) if left and right else (lo, hi)
+            new = (position, (value + _ref_lerp(a, b, position)) / 2.0, "secondary-pivot")
+        else:
+            mid = (lo[0] + hi[0]) / 2.0
+            new = (mid, _ref_lerp(lo, hi, mid), "interpolated")
+        points.insert(i + 1, new)
+    return points
+
+
 @dataclass(slots=True)
 class RefToken:
     text: str               # lowercased surface form

@@ -1,15 +1,18 @@
 import json
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arcindex.catalogue import (FORMAT_VERSION, build_catalogue, load,
-                                nearest_cluster, quantize, save, search_similar)
+                                nearest_cluster, save, search_similar)
 from arcindex.clustering import Cluster, cluster_series
 from arcindex.config import PipelineConfig
 from arcindex.errors import (EmptyCatalogue, FormatError, UnknownBook,
                              VersionError)
-from arcindex.series import ContextBlock, SentimentSeries, SeriesPoint, align_lengths
-from arcindex.similarity import score
+from arcindex.series import SECONDARY, SentimentSeries, SeriesPoint, align_lengths
+from arcindex.similarity import score, spsi_matrix
 
 
 def _series(book_id, values, positions=None):
@@ -37,13 +40,6 @@ def _toy_catalogue():
     }
     cfg = PipelineConfig(dt=0.8)
     return build_catalogue(clusters, series_by_id, cfg, meta)
-
-
-def test_quantize_is_idempotent_at_nine_digits():
-    x = 0.12345678987654321
-    q = quantize(x)
-    assert quantize(q) == q
-    assert q == pytest.approx(x, rel=1e-8)
 
 
 def test_entries_sorted_by_distance_then_title():
@@ -289,11 +285,10 @@ def test_a_catalogue_scores_with_its_configured_ratio_limit(tmp_path):
     # series promotes secondary pivots, below 0.6 it is interpolated.
     long = _series("long", [0.2, 0.5, 0.3, 0.7, 0.4, 0.6, 0.35, 0.8, 0.45, 0.55, 0.3, 0.65])
     short = _series("short", [0.25, 0.6, 0.35, 0.75, 0.4, 0.7, 0.5])
-    short.context = [ContextBlock(position=b / 74, value=0.3 + 0.04 * (b * 37 % 11),
-                                  smoothed=0.3 + 0.04 * (b * 17 % 13), interacting=True)
-                     for b in range(75)]
+    ranked = sorted(range(75), key=lambda b: (-(0.3 + 0.04 * (b * 17 % 13)), b))
+    short.context = [(b / 74, 0.3 + 0.04 * (b * 37 % 11)) for b in ranked]
     cfg = PipelineConfig(dt=0.01, length_ratio_limit=0.6).validate()
-    clusters, _, _ = cluster_series([long, short], cfg)
+    clusters, _, _ = cluster_series([long, short], cfg, spsi_matrix([long, short], 0.6))
     assert [c.members for c in clusters] == [["long", "short"]]
     rep = [(p.position, p.value) for p in clusters[0].representative.points]
     assert rep == _mean_points(long, short, 0.6)
@@ -309,3 +304,68 @@ def test_a_catalogue_scores_with_its_configured_ratio_limit(tmp_path):
     cid, sim = nearest_cluster(loaded, short)
     assert sim == score(short, loaded.cluster(cid).representative, 0.6)
     assert sim != score(short, loaded.cluster(cid).representative, 0.3)
+
+
+@st.composite
+def _shelf(draw):
+    """4-7 series of 5, 7, 9 or 12 points, the first four 12, 12, 9 and 5.
+
+    At the default ratio limit 0.3, 12 against 9, 9 against 7 and 7
+    against 5 points are interpolated, wider differences promote
+    secondary pivots. So every shelf holds a pair of each route: the
+    5-point series always has context blocks, others may. Values include
+    zeros; positions run from 0 to 1 on a 1/1000 grid.
+    """
+    lengths = [12, 12, 9, 5] + draw(st.lists(st.sampled_from([5, 7, 9, 12]), max_size=3))
+    shelf = []
+    for i, n in enumerate(lengths):
+        inner = draw(st.lists(st.integers(1, 999), min_size=n - 2, max_size=n - 2,
+                              unique=True))
+        positions = [0.0] + [g / 1000 for g in sorted(inner)] + [1.0]
+        values = draw(st.lists(st.integers(0, 20), min_size=n, max_size=n))
+        series = _series(f"b{i}", [v / 20 for v in values], positions)
+        if n == 5 or draw(st.booleans()):
+            rng = random.Random(draw(st.integers(0, 2**32)))
+            series.context = [(b / 74, rng.randint(0, 10) / 10)
+                              for b in rng.sample(range(75), 75 if i == 3 else 30)]
+        shelf.append(series)
+    return shelf
+
+
+def _without_context(series):
+    return SentimentSeries(book_id=series.book_id, points=series.points)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shelf=_shelf(), dt=st.sampled_from([0.5, 0.8, 0.95]))
+def test_search_after_load_scores_pairs_as_the_index_did(tmp_path_factory, shelf, dt):
+    cfg = PipelineConfig(dt=dt).validate()
+    ratio = cfg.length_ratio_limit
+    matrix = spsi_matrix(shelf, ratio)
+    clusters, _, _ = cluster_series(shelf, cfg, matrix)
+    by_id = {s.book_id: s for s in shelf}
+    built = build_catalogue(clusters, by_id, cfg, {})
+    for e in built.entries:
+        rep = built.cluster(e.cluster_id).representative
+        assert e.distance == 1.0 - score(by_id[e.book_id], rep, ratio)
+    path = tmp_path_factory.mktemp("cat") / "cat.json"
+    save(built, path)
+    loaded = load(path)
+    assert [e.distance for e in loaded.entries] == [e.distance for e in built.entries]
+    index = {b: i for i, b in enumerate(matrix.book_ids)}
+    routes = set()
+    for query in matrix.book_ids:
+        for book_id, found in search_similar(loaded, query, k=len(shelf)):
+            expected = matrix.values[index[query]][index[book_id]]
+            a, b = align_lengths(by_id[query], by_id[book_id], ratio)
+            secondary = any(p.provenance == SECONDARY for p in a.points + b.points)
+            routes.add("secondary" if secondary else
+                       "equal" if len(by_id[query]) == len(by_id[book_id]) else "interpolated")
+            if secondary:
+                # The context is not stored: after load the pair is grown
+                # by midpoints, as if the book had no context.
+                assert found == score(_without_context(by_id[query]),
+                                      _without_context(by_id[book_id]), ratio)
+            else:
+                assert found == expected
+    assert routes == {"equal", "interpolated", "secondary"}

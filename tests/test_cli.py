@@ -288,18 +288,29 @@ def test_negative_series_values_are_data_errors(cli_corpus, tmp_path, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("files, arg", [
-    ({"book.txt": b"Mara walked.\xff Mara ran.\n"}, "book.txt"),
-    ({"summaries.tsv": b"1\t/m/1\tTitle\tAuthor\t2000\t{}\tMara \xff ran.\n"}, "summaries.tsv"),
-    ({"store.json": b'{"format":"arcindex-store",\xff}'}, "store.json"),
+@pytest.mark.parametrize("files, argv, code", [
+    ({"book.txt": b"Mara walked.\xff Mara ran.\n"}, ["ingest", "book.txt"], 2),
+    ({"summaries.tsv": b"1\t/m/1\tTitle\tAuthor\t2000\t{}\tMara \xff ran.\n"},
+     ["ingest", "summaries.tsv"], 2),
+    ({"store.json": b'{"format":"arcindex-store",\xff}'}, ["ingest", "store.json"], 2),
     ({"corpus/b1.txt": b"Mara walked. Mara ran.\n",
-      "corpus/aliases.tsv": b"Mara\tMar\xff\n"}, "corpus"),
-], ids=["text", "summaries", "store", "aliases"])
-def test_undecodable_input_is_a_data_error(tmp_path, capsys, files, arg):
+      "corpus/aliases.tsv": b"Mara\tMar\xff\n"}, ["ingest", "corpus"], 2),
+    ({"a.csv": b"0.0,0.2\n0.5,0.4\xff\n1.0,0.3\n", "b.csv": b"0.0,0.2\n1.0,0.3\n"},
+     ["spsi", "--series-a", "a.csv", "--series-b", "b.csv"], 2),
+    ({"matrix.csv": b"book_id,a\xff,b\n"}, ["cluster", "--matrix", "matrix.csv"], 2),
+    ({"arcindex.conf": b"dt = 0.5 # \xff\n"}, ["--config", "arcindex.conf", "--print-config"], 1),
+    ({"catalogue.json": b'{"format_version": "1.0", \xff}'},
+     ["search", "--catalogue", "catalogue.json", "--like", "b1"], 2),
+    ({"corpus/b1.txt": b"Mara walked. Mara ran.\n", "labels.csv": b"b1,arc\xff\n"},
+     ["eval", "corpus", "--labels", "labels.csv"], 2),
+], ids=["text", "summaries", "store", "aliases", "series", "matrix", "config",
+        "catalogue", "labels"])
+def test_undecodable_input_is_a_data_error(tmp_path, capsys, files, argv, code):
     for name, data in files.items():
         (tmp_path / name).parent.mkdir(exist_ok=True)
         (tmp_path / name).write_bytes(data)
-    assert main(["ingest", str(tmp_path / arg)]) == 2
+    names = {name.split("/")[0] for name in files}
+    assert main([str(tmp_path / a) if a in names else a for a in argv]) == code
     err = capsys.readouterr().err
     assert "is not UTF-8" in err
     assert "Traceback" not in err

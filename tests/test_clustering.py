@@ -6,7 +6,7 @@ from arcindex.clustering import (cluster_matrix, cluster_report, cluster_series,
                                  resolve_threshold)
 from arcindex.config import PipelineConfig
 from arcindex.series import SentimentSeries, SeriesPoint
-from arcindex.similarity import SimilarityMatrix
+from arcindex.similarity import SimilarityMatrix, spsi_matrix
 from oracle_reference import ref_adaptive_threshold, ref_average_linkage
 from reference_data import (GRID_ADAPTIVE_DT, GRID_FIRST_MERGE, GRID_IDS,
                             GRID_PARTITION_AT_04, GRID_TRACE_AT_04,
@@ -149,7 +149,8 @@ def test_series_clustering_merges_identical_shapes():
     flat_b = _series("flat-b", [0.5, 0.5, 0.5, 0.5])
     spike = _series("spike", [0.05, 0.95, 0.05, 0.95])
     cfg = PipelineConfig(dt=0.9)
-    clusters, dt, trace = cluster_series([flat_a, flat_b, spike], cfg)
+    shelf = [flat_a, flat_b, spike]
+    clusters, dt, trace = cluster_series(shelf, cfg, spsi_matrix(shelf))
     assert dt == 0.9
     by_members = sorted(tuple(c.members) for c in clusters)
     assert ("flat-a", "flat-b") in by_members
@@ -160,7 +161,7 @@ def test_cluster_representative_is_member_mean():
     a = _series("a", [0.2, 0.4, 0.6])
     b = _series("b", [0.4, 0.6, 0.8])
     cfg = PipelineConfig(dt=0.5)
-    clusters, _, _ = cluster_series([a, b], cfg)
+    clusters, _, _ = cluster_series([a, b], cfg, spsi_matrix([a, b]))
     assert len(clusters) == 1
     rep = clusters[0].representative
     assert [p.value for p in rep.points] == pytest.approx([0.3, 0.5, 0.7])
@@ -171,7 +172,7 @@ def test_cluster_ids_are_smallest_member():
     a = _series("a", [0.2, 0.4, 0.6])
     b = _series("b", [0.2, 0.4, 0.6])
     cfg = PipelineConfig(dt=0.5)
-    clusters, _, _ = cluster_series([b, a], cfg)
+    clusters, _, _ = cluster_series([b, a], cfg, spsi_matrix([b, a]))
     assert len(clusters) == 1
     assert clusters[0].cluster_id == "a"
     assert clusters[0].members == ["a", "b"]
@@ -181,7 +182,7 @@ def test_series_clustering_rejects_duplicate_ids():
     a = _series("same", [0.1, 0.2])
     b = _series("same", [0.3, 0.4])
     with pytest.raises(ValueError):
-        cluster_series([a, b], PipelineConfig())
+        cluster_series([a, b], PipelineConfig(), spsi_matrix([a, b]))
 
 
 def test_precomputed_matrix_must_match_series():
@@ -189,14 +190,14 @@ def test_precomputed_matrix_must_match_series():
     b = _series("b", [0.3, 0.4])
     wrong = SimilarityMatrix(book_ids=["a", "zz"], values=[[1.0, 0.5], [0.5, 1.0]])
     with pytest.raises(ValueError):
-        cluster_series([a, b], PipelineConfig(), matrix=wrong)
+        cluster_series([a, b], PipelineConfig(), wrong)
 
 
 def test_cluster_report_shape():
     a = _series("a", [0.2, 0.4, 0.6])
     b = _series("b", [0.4, 0.6, 0.8])
     cfg = PipelineConfig(dt=0.5)
-    clusters, dt, _ = cluster_series([a, b], cfg)
+    clusters, dt, _ = cluster_series([a, b], cfg, spsi_matrix([a, b]))
     report = cluster_report(clusters, dt)
     assert report["dynamic_threshold"] == 0.5
     assert len(report["clusters"]) == 1

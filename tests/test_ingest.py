@@ -7,13 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arcindex.config import PipelineConfig
+from arcindex.catalogue import load as load_catalogue
+from arcindex.config import PipelineConfig, load_config
 from arcindex.errors import (AliasError, ConfigError, EmptyDocument,
                              FormatError, LexiconError)
 from arcindex.ingest import (AliasTable, BookDocument, load_aliases,
                              load_cmu_summaries, load_default_lexicon,
                              load_lexicon, load_plain_text, load_store,
                              save_store, segment_blocks, tokenize)
+from arcindex.pipeline import load_labels
+from arcindex.series import read_series_csv
+from arcindex.similarity import read_matrix_csv
 from oracle_reference import ref_tokenize
 
 # Letters of any script and case (titlecase and caseless ones too; İ
@@ -72,7 +76,13 @@ def test_load_plain_text_uses_stem_as_title(tmp_path):
     (load_store, FormatError),
     (load_lexicon, LexiconError),
     (load_aliases, AliasError),
-], ids=["text", "summaries", "store", "lexicon", "aliases"])
+    (read_series_csv, FormatError),
+    (read_matrix_csv, FormatError),
+    (load_catalogue, FormatError),
+    (load_labels, FormatError),
+    (load_config, ConfigError),
+], ids=["text", "summaries", "store", "lexicon", "aliases", "series", "matrix",
+        "catalogue", "labels", "config"])
 def test_undecodable_files_name_the_byte_offset(tmp_path, loader, error):
     path = tmp_path / "input"
     prefix = b"# a comment line\n" * 2000    # beyond the first chunk a text file reads

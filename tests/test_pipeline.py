@@ -12,11 +12,13 @@ from hypothesis import strategies as st
 
 import arcindex
 from arcindex.catalogue import save
+from arcindex.characters import extract_characters
 from arcindex.errors import CoreExtractionError, FormatError, TooFewPivots
 from arcindex.ingest import (AliasTable, BookDocument, load_default_lexicon, load_store,
-                             save_store, tokenize)
+                             save_store, segment_blocks, tokenize)
 from arcindex.pipeline import (analyze_book, analyze_corpus, build_from_documents,
                                evaluate, load_corpus_dir, load_labels)
+from arcindex.pivots import block_sentiments, compute_interactions, smooth
 from arcindex.similarity import score
 from arcindex.synth import DEFAULT_TEMPLATES, ArcTemplate, GenSpec, generate, write_corpus
 
@@ -39,12 +41,20 @@ def test_analyze_book_reports_structure_and_context(synth_small, synth_cfg):
     assert analysis.core == sorted(truth.core)
     assert analysis.series.book_id == doc.book_id
 
-    context = analysis.series.context
-    assert len(context) == analysis.block_count
-    assert context[0].position == 0.0
-    assert context[-1].position == 1.0
-    for pivot in analysis.pivots:
-        assert context[pivot.block_index].interacting
+    # The context is the pair's interacting blocks as (position, block
+    # sentiment), best first: highest smoothed sentiment, then earliest.
+    denom = analysis.block_count - 1
+    ranked = [round(position * denom) for position, _ in analysis.series.context]
+    blocks = segment_blocks(doc, synth_cfg.block_size)
+    sentiments = block_sentiments(blocks, doc, load_default_lexicon(), synth_cfg)
+    smoothed = smooth(sentiments, synth_cfg.smoothing_radius)
+    assert analysis.series.context == [(b / denom, sentiments[b]) for b in ranked]
+    assert ranked == sorted(ranked, key=lambda b: (-smoothed[b], b))
+    profiles = [p for p in extract_characters(doc) if p.canonical_name in analysis.core]
+    interactions = compute_interactions(profiles, synth_cfg.window, synth_cfg.block_size,
+                                        analysis.block_count)
+    assert sorted(ranked) == interactions.interacting_blocks(analysis.pair)
+    assert {p.block_index for p in analysis.pivots} <= set(ranked)
 
 
 def test_skip_errors_collects_failures_instead_of_raising(synth_small, synth_cfg):

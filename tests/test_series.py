@@ -6,10 +6,11 @@ from hypothesis import strategies as st
 
 from arcindex.errors import DegenerateSeries, FormatError, TooFewPivots
 from arcindex.pivots import PivotPoint
-from arcindex.series import (INTERPOLATED, PRIMARY, SECONDARY, ContextBlock,
-                             SentimentSeries, SeriesPoint, _insert_midpoint,
-                             align_lengths, build_series, export_series_csv,
-                             read_series_csv, resample_secondary)
+from arcindex.series import (INTERPOLATED, PRIMARY, SECONDARY, SentimentSeries,
+                             SeriesPoint, _insert_midpoint, align_lengths,
+                             build_series, export_series_csv, read_series_csv,
+                             resample_secondary)
+from oracle_reference import ref_resample_secondary
 
 
 def _pivot(block, position, sv):
@@ -134,17 +135,19 @@ def test_large_deficit_routes_through_secondary_resampling(monkeypatch):
     assert len(ra) == len(rb) == 10
 
 
+def _ranked(blocks):
+    """A context from (position, value, smoothed, interacting) blocks."""
+    return [(b[0], b[1]) for b in sorted(blocks, key=lambda b: (-b[2], b[0])) if b[3]]
+
+
 def test_secondary_points_come_from_interacting_blocks():
-    context = [
-        ContextBlock(position=0.1, value=0.9, smoothed=0.85, interacting=False),
-        ContextBlock(position=0.2, value=0.8, smoothed=0.7, interacting=True),
-        ContextBlock(position=0.3, value=0.4, smoothed=0.5, interacting=True),
-    ]
+    blocks = [(0.1, 0.9, 0.85, False), (0.2, 0.8, 0.7, True), (0.3, 0.4, 0.5, True)]
     s = SentimentSeries(
         book_id="bk",
         points=[SeriesPoint(0.0, 0.2), SeriesPoint(0.5, 0.6), SeriesPoint(1.0, 0.4)],
-        context=context,
+        context=_ranked(blocks),
     )
+    assert s.context == [(0.2, 0.8), (0.3, 0.4)]
     grown = resample_secondary(s, deficit=1)
     added = [p for p in grown.points if p.provenance == SECONDARY]
     assert len(added) == 1
@@ -176,12 +179,42 @@ def _series_with_context(draw, book_id):
     values = draw(st.lists(st.integers(min_value=0, max_value=100),
                            min_size=n, max_size=n))
     rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
-    context = [ContextBlock(position=b / 74, value=rng.randint(0, 10) / 10,
-                            smoothed=rng.randint(0, 20) / 20,
-                            interacting=rng.random() < 0.3)
-               for b in range(75)]
+    blocks = [(b / 74, rng.randint(0, 10) / 10, rng.randint(0, 20) / 20, rng.random() < 0.3)
+              for b in range(75)]
     points = [SeriesPoint(g / 1000, v / 100) for g, v in zip(sorted(grid), values)]
-    return SentimentSeries(book_id=book_id, points=points, context=context)
+    return SentimentSeries(book_id=book_id, points=points, context=_ranked(blocks))
+
+
+@st.composite
+def _points_and_blocks(draw):
+    """2-14 points and 75 blocks; some points sit at block positions.
+
+    Smoothed values come from five levels, so ties are common, and the
+    points are a mix of primary and interpolated ones.
+    """
+    position = st.one_of(st.integers(0, 1000).map(lambda g: g / 1000),
+                         st.integers(0, 74).map(lambda b: b / 74))
+    positions = sorted(set(draw(st.lists(position, min_size=2, max_size=14))))
+    if len(positions) < 2:
+        positions = [0.0, 1.0]
+    points = [(p, draw(st.integers(0, 100)) / 100,
+               draw(st.sampled_from([PRIMARY, PRIMARY, INTERPOLATED])))
+              for p in positions]
+    blocks = [(b / 74, draw(st.integers(0, 10)) / 10, draw(st.integers(0, 4)) / 4,
+               draw(st.booleans()))
+              for b in range(75)]
+    return points, blocks
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_points_and_blocks(), deficit=st.integers(min_value=0, max_value=14))
+def test_ranked_context_resamples_like_the_full_block_reference(case, deficit):
+    points, blocks = case
+    series = SentimentSeries(book_id="bk", points=[SeriesPoint(*p) for p in points],
+                             context=_ranked(blocks))
+    grown = resample_secondary(series, deficit)
+    assert [(p.position, p.value, p.provenance) for p in grown.points] == \
+        ref_resample_secondary(points, blocks, deficit)
 
 
 def _fresh_growth(shorter, target, ratio_limit):
