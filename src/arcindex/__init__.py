@@ -8,8 +8,7 @@ nearest-cluster queries from a persisted catalogue.
 """
 
 from .baselines import (AgreementReport, agreement, baseline1_vectors,
-                        baseline2_vectors, cosine, partition_from_similarity,
-                        similarity_matrix_from_vectors)
+                        baseline2_vectors, cosine, similarity_matrix_from_vectors)
 from .catalogue import (FORMAT_VERSION, Catalogue, CatalogueEntry, IndexCluster,
                         build_catalogue, load, nearest_cluster, save, search_similar)
 from .characters import (CharacterProfile, CoOccurrenceEdge, co_occurrence,

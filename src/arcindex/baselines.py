@@ -13,14 +13,13 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .clustering import cluster_matrix
 from .errors import MissingLabel, MissingText
 from .ingest import tokenize
 from .similarity import SimilarityMatrix
 
 __all__ = [
     "baseline1_vectors", "baseline2_vectors", "cosine",
-    "similarity_matrix_from_vectors", "partition_from_similarity",
+    "similarity_matrix_from_vectors",
     "AgreementReport", "agreement",
 ]
 
@@ -118,12 +117,6 @@ def similarity_matrix_from_vectors(vectors: dict) -> SimilarityMatrix:
             values[i][j] = s
             values[j][i] = s
     return SimilarityMatrix(book_ids=ids, values=values)
-
-
-def partition_from_similarity(matrix: SimilarityMatrix, dt: float):
-    """The same average-linkage partition the pipeline uses."""
-    partition, _trace = cluster_matrix(matrix, dt)
-    return partition
 
 
 @dataclass

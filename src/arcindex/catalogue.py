@@ -8,6 +8,11 @@ as indexing did, except where alignment would promote secondary pivots
 from a book's context, which is not stored. Every stored point is
 primary (members come from pivots, representatives are means), so
 points are stored without provenance.
+
+``load`` checks what it reads: the config must be a valid
+:class:`PipelineConfig`, and every series is checked as a series CSV
+is (finite, non-negative values, strictly increasing positions, at
+least 2 points). Anything else is a ``FormatError`` naming the file.
 """
 
 from __future__ import annotations
@@ -19,9 +24,10 @@ from dataclasses import dataclass, field
 from math import isfinite
 from pathlib import Path
 
-from .errors import EmptyCatalogue, FormatError, UnknownBook, VersionError
+from .config import PipelineConfig
+from .errors import ConfigError, EmptyCatalogue, FormatError, UnknownBook, VersionError
 from .ingest import _not_utf8
-from .series import SentimentSeries, SeriesPoint
+from .series import SentimentSeries, _checked_points
 from .similarity import score
 
 FORMAT_VERSION = "1.0"
@@ -52,7 +58,7 @@ class IndexCluster:
 @dataclass
 class Catalogue:
     format_version: str
-    config: dict
+    config: PipelineConfig
     clusters: list = field(default_factory=list)
     entries: list = field(default_factory=list)
 
@@ -72,14 +78,14 @@ class Catalogue:
         return any(e.book_id == book_id for e in self.entries)
 
 
-def build_catalogue(clusters, series_by_id: dict, cfg, book_meta: dict) -> Catalogue:
+def build_catalogue(clusters, series_by_id: dict, cfg: PipelineConfig,
+                    book_meta: dict) -> Catalogue:
     """Assemble the index from a clustering outcome.
 
     ``book_meta`` maps book_id to (title, author). Within a cluster,
     entries are sorted by distance to the representative, then title.
     """
-    settings = cfg.to_dict() if hasattr(cfg, "to_dict") else dict(cfg)
-    ratio_limit = settings.get("length_ratio_limit", 0.3)
+    ratio_limit = cfg.length_ratio_limit
     index_clusters = []
     entries = []
     for cluster in sorted(clusters, key=lambda c: str(c.cluster_id)):
@@ -105,7 +111,7 @@ def build_catalogue(clusters, series_by_id: dict, cfg, book_meta: dict) -> Catal
             ))
         cluster_entries.sort(key=lambda e: (e.distance, e.title))
         entries.extend(cluster_entries)
-    return Catalogue(format_version=FORMAT_VERSION, config=settings,
+    return Catalogue(format_version=FORMAT_VERSION, config=cfg,
                      clusters=index_clusters, entries=entries)
 
 
@@ -114,15 +120,10 @@ def _series_payload(series: SentimentSeries) -> list:
 
 
 def _series_from_payload(book_id: str, payload) -> SentimentSeries:
-    points = []
-    for p in payload:
-        position = float(p["position"])
-        value = float(p["value"])
-        if not (isfinite(position) and isfinite(value)):
-            raise ValueError(f"non-finite point in the series of {book_id!r}")
-        if value < 0.0:
-            raise ValueError(f"negative value in the series of {book_id!r}")
-        points.append(SeriesPoint(position, value))
+    try:
+        points = _checked_points(payload)
+    except ValueError as exc:
+        raise ValueError(f"series of {book_id!r}: {exc}") from None
     return SentimentSeries(book_id=book_id, points=points)
 
 
@@ -130,7 +131,7 @@ def save(catalogue: Catalogue, path) -> None:
     """Write atomically; an interrupted save never corrupts an old file."""
     payload = {
         "format_version": catalogue.format_version,
-        "config": catalogue.config,
+        "config": catalogue.config.to_dict(),
         "clusters": [
             {
                 "cluster_id": c.cluster_id,
@@ -189,6 +190,10 @@ def load(path) -> Catalogue:
         raise VersionError(f"{path}: format version {version} not readable "
                            f"by this build (expects {FORMAT_VERSION})")
     try:
+        config = PipelineConfig(**payload.get("config", {})).validate()
+    except (TypeError, ConfigError) as exc:
+        raise FormatError(f"{path}: bad catalogue config: {exc}") from None
+    try:
         clusters = [
             IndexCluster(
                 cluster_id=c["cluster_id"],
@@ -213,23 +218,19 @@ def load(path) -> Catalogue:
             ))
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: malformed catalogue structure: {exc}") from exc
-    return Catalogue(format_version=version, config=payload.get("config", {}),
+    return Catalogue(format_version=version, config=config,
                      clusters=clusters, entries=entries)
 
 
-def search_similar(catalogue: Catalogue, query, k: int,
-                   include_self: bool = False) -> list:
+def search_similar(catalogue: Catalogue, query, k: int) -> list:
     """Top-k books by SPSI against a query book or external series.
 
-    Returns (book_id, spsi) pairs, best first, ties broken by title.
+    A query book is left out of its own results. Returns (book_id,
+    spsi) pairs, best first, ties broken by title.
     """
-    if isinstance(query, str):
-        query_series = catalogue.entry(query).series
-        exclude = None if include_self else query
-    else:
-        query_series = query
-        exclude = None
-    ratio_limit = catalogue.config.get("length_ratio_limit", 0.3)
+    exclude = query if isinstance(query, str) else None
+    query_series = query if exclude is None else catalogue.entry(query).series
+    ratio_limit = catalogue.config.length_ratio_limit
     scored = []
     for e in catalogue.entries:
         if exclude is not None and e.book_id == exclude:
@@ -243,7 +244,7 @@ def nearest_cluster(catalogue: Catalogue, series: SentimentSeries):
     """The cluster whose representative is most similar to the series."""
     if not catalogue.clusters:
         raise EmptyCatalogue("catalogue has no clusters")
-    ratio_limit = catalogue.config.get("length_ratio_limit", 0.3)
+    ratio_limit = catalogue.config.length_ratio_limit
     best_id = None
     best_sim = -1.0
     for c in sorted(catalogue.clusters, key=lambda c: c.cluster_id):

@@ -24,8 +24,7 @@ from .ingest import load_cmu_summaries, load_plain_text, load_store, save_store
 from .pipeline import (analyze_corpus, build_from_documents, evaluate,
                        load_corpus_dir, load_labels)
 from .series import align_lengths, export_series_csv, read_series_csv
-from .similarity import (read_matrix_csv, score, spsi_breakdown, spsi_matrix,
-                         write_matrix_csv)
+from .similarity import read_matrix_csv, spsi_breakdown, spsi_matrix, write_matrix_csv
 from .synth import DEFAULT_TEMPLATES, GenSpec, generate, write_corpus
 
 __all__ = ["main", "entry_point"]
@@ -93,9 +92,6 @@ def build_parser() -> _Parser:
     p = command("cluster", "agglomerate series or a precomputed matrix")
     p.add_argument("input", nargs="?", help="corpus/store to cluster")
     p.add_argument("--matrix", metavar="CSV", help="precomputed similarity matrix")
-    p.add_argument("--dt", type=float, metavar="T", help="fixed merge threshold")
-    p.add_argument("--adaptive", action="store_true",
-                   help="derive the threshold from the similarity distribution")
 
     p = command("index", "build and save a searchable catalogue")
     p.add_argument("input")
@@ -160,13 +156,15 @@ def _emit(args, payload: dict, human_lines) -> None:
             print(line)
 
 
-def _select_docs(docs, book_id):
-    if book_id is None:
-        return docs
-    chosen = [d for d in docs if d.book_id == book_id]
-    if not chosen:
-        raise ArcIndexError(f"book {book_id!r} not in the input")
-    return chosen
+def _analyse_input(args, cfg):
+    """Analyses of the input's books, or of ``--book`` alone where given."""
+    docs, aliases, _ = _load_input(args.input)
+    book = getattr(args, "book", None)
+    if book is not None:
+        docs = [d for d in docs if d.book_id == book]
+        if not docs:
+            raise ArcIndexError(f"book {book!r} not in the input")
+    return analyze_corpus(docs, cfg, aliases=aliases)[0]
 
 
 def _cmd_ingest(args, cfg):
@@ -188,12 +186,9 @@ def _cmd_ingest(args, cfg):
 
 
 def _cmd_characters(args, cfg):
-    docs, aliases, _ = _load_input(args.input)
-    docs = _select_docs(docs, args.book)
-    analyses, _ = analyze_corpus(docs, cfg, aliases=aliases)
     payload = {}
     lines = []
-    for a in analyses:
+    for a in _analyse_input(args, cfg):
         payload[a.book_id] = {"core": a.core, "pair": list(a.pair)}
         lines.append(f"{a.book_id}: core={{{', '.join(a.core)}}} "
                      f"pair=({a.pair[0]}, {a.pair[1]})")
@@ -202,12 +197,9 @@ def _cmd_characters(args, cfg):
 
 
 def _cmd_pivots(args, cfg):
-    docs, aliases, _ = _load_input(args.input)
-    docs = _select_docs(docs, args.book)
-    analyses, _ = analyze_corpus(docs, cfg, aliases=aliases)
     payload = {}
     lines = []
-    for a in analyses:
+    for a in _analyse_input(args, cfg):
         payload[a.book_id] = {
             "pair": list(a.pair),
             "pivots": [
@@ -224,9 +216,7 @@ def _cmd_pivots(args, cfg):
 
 
 def _cmd_series(args, cfg):
-    docs, aliases, _ = _load_input(args.input)
-    docs = _select_docs(docs, args.book)
-    analyses, _ = analyze_corpus(docs, cfg, aliases=aliases)
+    analyses = _analyse_input(args, cfg)
     out_dir = Path(args.output) if args.output else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -247,17 +237,15 @@ def _cmd_spsi(args, cfg):
     if args.series_a or args.series_b:
         if not (args.series_a and args.series_b):
             raise UsageError("--series-a and --series-b go together")
-        s1 = read_series_csv(args.series_a)
-        s2 = read_series_csv(args.series_b)
-        value = score(s1, s2, cfg.length_ratio_limit)
-        a, b = align_lengths(s1, s2, cfg.length_ratio_limit)
+        a, b = align_lengths(read_series_csv(args.series_a),
+                             read_series_csv(args.series_b), cfg.length_ratio_limit)
         br = spsi_breakdown(a.values(), b.values())
         payload = {
-            "spsi": value, "ps": br.ps, "sd": br.sd,
+            "spsi": br.spsi, "ps": br.ps, "sd": br.sd,
             "rs": br.rs, "cf": br.cf, "n": br.n,
         }
         lines = [
-            f"spsi = {value:.6f}",
+            f"spsi = {br.spsi:.6f}",
             f"probable sentiment = {br.ps:.6f}",
             f"sentiment distance = {br.sd:.6f}",
             "rs = " + " ".join(f"{v:.4f}" for v in br.rs),
@@ -268,8 +256,7 @@ def _cmd_spsi(args, cfg):
         return 0
     if not args.input:
         raise UsageError("spsi needs an input corpus or --series-a/--series-b")
-    docs, aliases, _ = _load_input(args.input)
-    analyses, _ = analyze_corpus(docs, cfg, aliases=aliases)
+    analyses = _analyse_input(args, cfg)
     matrix = spsi_matrix([a.series for a in analyses], cfg.length_ratio_limit)
     if args.output:
         write_matrix_csv(matrix, args.output)
@@ -289,13 +276,6 @@ def _format_partition(partition) -> str:
 
 
 def _cmd_cluster(args, cfg):
-    if args.dt is not None and args.adaptive:
-        raise UsageError("--dt and --adaptive are mutually exclusive")
-    if args.dt is not None:
-        cfg = cfg.replace(dt=args.dt, dt_mode="fixed")
-    elif args.adaptive:
-        cfg = cfg.replace(dt_mode="adaptive")
-
     if args.matrix:
         matrix = read_matrix_csv(args.matrix)
         dt = resolve_threshold(matrix, cfg)

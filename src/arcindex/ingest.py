@@ -108,8 +108,8 @@ def _utf8_lines(path, error_type, newline=None):
             raise _not_utf8(path, error_type) from None
 
 
-def load_plain_text(path, book_id: str, title: str | None = None,
-                    author: str | None = None, language: str = "en") -> BookDocument:
+def load_plain_text(path, book_id: str) -> BookDocument:
+    """One book from a text file, titled after the file name."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -118,10 +118,7 @@ def load_plain_text(path, book_id: str, title: str | None = None,
     tokens = tokenize(text)
     if not tokens:
         raise EmptyDocument(f"{path}: no tokens")
-    if title is None:
-        title = path.stem.replace("_", " ")
-    return BookDocument(book_id=book_id, title=title, tokens=tokens,
-                        author=author, language=language)
+    return BookDocument(book_id=book_id, title=path.stem.replace("_", " "), tokens=tokens)
 
 
 def load_cmu_summaries(path):

@@ -11,10 +11,10 @@ from dataclasses import astuple, dataclass
 from pathlib import Path
 
 from .baselines import (agreement, baseline1_vectors, baseline2_vectors,
-                        partition_from_similarity, similarity_matrix_from_vectors)
+                        similarity_matrix_from_vectors)
 from .catalogue import Catalogue, build_catalogue
 from .characters import co_occurrence, extract_characters, select_core, select_prime
-from .clustering import cluster_series, resolve_threshold
+from .clustering import cluster_matrix, cluster_series, resolve_threshold
 from .config import PipelineConfig
 from .errors import ArcIndexError, FormatError
 from .ingest import (AliasTable, BookDocument, _utf8_lines, load_aliases,
@@ -215,7 +215,7 @@ def evaluate(docs, labels: dict, cfg: PipelineConfig,
     ):
         cos_matrix = similarity_matrix_from_vectors(vectors)
         b_dt = resolve_threshold(cos_matrix, adaptive)
-        b_partition = partition_from_similarity(cos_matrix, b_dt)
+        b_partition = cluster_matrix(cos_matrix, b_dt)[0]
         reports[method] = agreement(b_partition, labels, method=method)
         baseline_dts[method] = b_dt
 
@@ -243,7 +243,7 @@ def load_labels(path) -> dict:
     return labels
 
 
-def load_corpus_dir(path, aliases_name: str = "aliases.tsv"):
+def load_corpus_dir(path):
     """Load a corpus directory.
 
     Layout: ``books/*.txt`` (or ``*.txt`` at the top level), optional
@@ -267,6 +267,6 @@ def load_corpus_dir(path, aliases_name: str = "aliases.tsv"):
                                author=m.author, language=doc.language,
                                metadata=dict(m.metadata))
         docs.append(doc)
-    aliases_path = root / aliases_name
+    aliases_path = root / "aliases.tsv"
     aliases = load_aliases(aliases_path) if aliases_path.is_file() else None
     return docs, aliases

@@ -81,10 +81,8 @@ def _largest_gap(points) -> int:
 
 
 def _lerp(lo, hi, position: float) -> float:
-    span = hi.position - lo.position
-    if span <= 0.0:
-        return (lo.value + hi.value) / 2.0
-    t = (position - lo.position) / span
+    """Callers pass lo.position < position < hi.position."""
+    t = (position - lo.position) / (hi.position - lo.position)
     return lo.value + t * (hi.value - lo.value)
 
 
@@ -144,8 +142,7 @@ def resample_secondary(series: SentimentSeries, deficit: int) -> SentimentSeries
     return SentimentSeries(book_id=series.book_id, points=points, context=series.context)
 
 
-def align_lengths(s1: SentimentSeries, s2: SentimentSeries,
-                  ratio_limit: float = 0.3):
+def align_lengths(s1: SentimentSeries, s2: SentimentSeries, ratio_limit: float):
     """Equalize two series to the longer length.
 
     Existing points are never touched. When the length difference ratio
@@ -186,34 +183,57 @@ def export_series_csv(series: SentimentSeries, path) -> None:
             writer.writerow([repr(p.position), repr(p.value), p.provenance])
 
 
+def _checked_points(rows) -> list:
+    """Primary SeriesPoints from mappings with a ``position`` and a ``value``.
+
+    Raises ValueError, naming the point, unless every position and value
+    is a finite number, no value is negative, positions strictly
+    increase, and there are at least 2 points. The catalogue's saved
+    points are such mappings.
+    """
+    points = []
+    last = -math.inf
+    for row in rows:
+        try:
+            position = float(row["position"])
+            value = float(row["value"])
+        except ValueError:
+            raise ValueError(f"point {len(points) + 1}: non-numeric position/value") from None
+        if not (math.isfinite(position) and math.isfinite(value)):
+            raise ValueError(f"point {len(points) + 1}: non-finite position/value")
+        if value < 0.0:
+            raise ValueError(f"point {len(points) + 1}: negative value {value}")
+        if position <= last:
+            raise ValueError(f"point {len(points) + 1}: positions must strictly increase")
+        last = position
+        points.append(SeriesPoint(position, value))
+    if len(points) < 2:
+        raise ValueError(f"{len(points)} point(s), need at least 2")
+    return points
+
+
 def read_series_csv(path, book_id: str | None = None) -> SentimentSeries:
     """Read ``position,value[,provenance]`` rows; header optional."""
     path = Path(path)
-    points = []
-    rows = list(csv.reader(_utf8_lines(path, FormatError, newline="")))
-    for row_no, row in enumerate(rows, start=1):
+    rows = []
+    provenances = []
+    lines = list(csv.reader(_utf8_lines(path, FormatError, newline="")))
+    for row_no, row in enumerate(lines, start=1):
         if not row or not "".join(row).strip():
             continue
         if row_no == 1 and row[0].strip().lower() == "position":
             continue
         if len(row) not in (2, 3):
             raise FormatError(f"{path}: row {row_no}: expected 2 or 3 columns")
-        try:
-            position = float(row[0])
-            value = float(row[1])
-        except ValueError:
-            raise FormatError(f"{path}: row {row_no}: non-numeric position/value")
-        if not (math.isfinite(position) and math.isfinite(value)):
-            raise FormatError(f"{path}: row {row_no}: non-finite position/value")
-        if value < 0.0:
-            raise FormatError(f"{path}: row {row_no}: negative value {value}")
         provenance = row[2].strip() if len(row) == 3 else PRIMARY
         if provenance not in _PROVENANCE:
             raise FormatError(f"{path}: row {row_no}: unknown provenance {provenance!r}")
-        points.append(SeriesPoint(position, value, provenance))
-    if len(points) < 2:
-        raise FormatError(f"{path}: need at least 2 points")
-    for a, b in zip(points, points[1:]):
-        if b.position <= a.position:
-            raise FormatError(f"{path}: positions must strictly increase")
+        rows.append({"position": row[0], "value": row[1]})
+        provenances.append(provenance)
+    try:
+        points = _checked_points(rows)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from None
+    points = [SeriesPoint(p.position, p.value, provenance)
+              for p, provenance in zip(points, provenances)]
     return SentimentSeries(book_id=book_id or path.stem, points=points)

@@ -84,7 +84,7 @@ def _canonical_spsi(a: list, b: list) -> float:
     return _evaluate(a, b)[-1]
 
 
-def score(s1: SentimentSeries, s2: SentimentSeries, ratio_limit: float = 0.3) -> float:
+def score(s1: SentimentSeries, s2: SentimentSeries, ratio_limit: float) -> float:
     """SPSI of two series after aligning them to a common length.
 
     Every pairwise score of the pipeline (matrix, clustering, catalogue
@@ -131,7 +131,7 @@ class SimilarityMatrix:
         return [self.values[i][j] for i in range(n) for j in range(i + 1, n)]
 
 
-def spsi_matrix(series_list, ratio_limit: float = 0.3) -> SimilarityMatrix:
+def spsi_matrix(series_list, ratio_limit: float) -> SimilarityMatrix:
     """All-pairs SPSI with pairwise alignment to a common length."""
     if len(series_list) < 2:
         raise DegenerateSeries("need at least 2 series for a matrix")

@@ -3,8 +3,8 @@ import math
 import pytest
 
 from arcindex.baselines import (agreement, baseline1_vectors, baseline2_vectors,
-                                cosine, partition_from_similarity,
-                                similarity_matrix_from_vectors)
+                                cosine, similarity_matrix_from_vectors)
+from arcindex.clustering import cluster_matrix
 from arcindex.errors import MissingLabel, MissingText
 from arcindex.ingest import BookDocument, tokenize
 from arcindex.similarity import SimilarityMatrix
@@ -112,7 +112,7 @@ def test_vector_similarity_matrix_entries_equal_cosine_bit_for_bit():
                 assert cosine(vectors[a], vectors[b]).hex() == cosine(vectors[b], vectors[a]).hex()
 
 
-def test_partition_from_similarity_applies_threshold():
+def test_baseline_partition_applies_threshold():
     ids = ["a", "b", "c", "d"]
     sims = {("a", "b"): 0.9, ("c", "d"): 0.8}
     values = [[1.0] * 4 for _ in range(4)]
@@ -122,7 +122,7 @@ def test_partition_from_similarity_applies_threshold():
                 s = sims.get((u, v), 0.1)
                 values[i][j] = s
                 values[j][i] = s
-    partition = partition_from_similarity(SimilarityMatrix(ids, values), dt=0.5)
+    partition, _ = cluster_matrix(SimilarityMatrix(ids, values), 0.5)
     groups = {frozenset(members) for members in partition}
     assert groups == {frozenset({"a", "b"}), frozenset({"c", "d"})}
 

@@ -170,18 +170,54 @@ def test_load_rejects_overflowing_numbers(tmp_path, where):
         load(path)
 
 
-@pytest.mark.parametrize("where", ["entry", "representative"])
+# Each corruption of a saved series and the words its error must contain.
+_BAD_SERIES = {
+    "entry": (lambda p: p["entries"][0]["series"][1].update(value=-0.5), "negative"),
+    "representative": (lambda p: p["clusters"][0]["representative"][1].update(value=-0.5),
+                       "negative"),
+    "swapped-positions": (lambda p: p["entries"][0]["series"].reverse(), "strictly increase"),
+    "one-point": (lambda p: p["entries"][0]["series"].__delitem__(slice(1, None)),
+                  "at least 2"),
+}
+
+
+@pytest.mark.parametrize("where", list(_BAD_SERIES))
 def test_load_rejects_negative_values(tmp_path, where):
     path = tmp_path / "catalogue.json"
     save(_toy_catalogue(), path)
     payload = json.loads(path.read_text(encoding="utf-8"))
-    if where == "entry":
-        payload["entries"][0]["series"][1]["value"] = -0.5
-    else:
-        payload["clusters"][0]["representative"][1]["value"] = -0.5
+    corrupt, words = _BAD_SERIES[where]
+    corrupt(payload)
     path.write_text(json.dumps(payload), encoding="utf-8")
-    with pytest.raises(FormatError, match="negative"):
+    with pytest.raises(FormatError, match=words) as excinfo:
         load(path)
+    assert str(path) in str(excinfo.value)
+
+
+@pytest.mark.parametrize("config", [
+    [],
+    {**PipelineConfig().to_dict(), "colour": "blue"},
+    {"length_ratio_limit": "x"},
+    {"length_ratio_limit": 1.5},
+], ids=["not-a-mapping", "unknown-key", "wrong-type", "out-of-range"])
+def test_load_rejects_a_bad_config(tmp_path, config):
+    path = tmp_path / "catalogue.json"
+    save(_toy_catalogue(), path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload["config"] = config
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(FormatError, match="config") as excinfo:
+        load(path)
+    assert str(path) in str(excinfo.value)
+
+
+def test_load_without_a_config_takes_the_defaults(tmp_path):
+    path = tmp_path / "catalogue.json"
+    save(_toy_catalogue(), path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    del payload["config"]
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    assert load(path).config == PipelineConfig()
 
 
 def test_failed_save_keeps_the_old_file_and_leaves_no_temp_file(tmp_path, monkeypatch):

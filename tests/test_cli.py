@@ -1,4 +1,8 @@
+import copy
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +14,7 @@ from reference_data import GRID_IDS, grid_matrix_values
 
 SYNTH_ARGS = ["--per-archetype", "2", "--archetypes", "2", "--seed", "7"]
 SET_BLOCKS = ["--set", "block_size=120", "--set", "dt=0.95"]
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture(scope="module")
@@ -18,6 +23,14 @@ def cli_corpus(tmp_path_factory):
     outdir = tmp_path_factory.mktemp("cli-corpus")
     assert main(["synth", "-o", str(outdir)] + SYNTH_ARGS) == 0
     return outdir
+
+
+@pytest.fixture(scope="module")
+def cli_catalogue(cli_corpus, tmp_path_factory):
+    """The saved catalogue of cli_corpus, as parsed JSON."""
+    path = tmp_path_factory.mktemp("cli-catalogue") / "catalogue.json"
+    assert main(["index", str(cli_corpus), "-o", str(path)] + SET_BLOCKS) == 0
+    return json.loads(path.read_text(encoding="utf-8"))
 
 
 @pytest.fixture(scope="module")
@@ -157,21 +170,15 @@ def test_cluster_matrix_reports_threshold_and_partition(tmp_path, capsys):
     path = tmp_path / "grid.csv"
     write_matrix_csv(SimilarityMatrix(list(GRID_IDS), grid_matrix_values()), path)
 
-    assert main(["cluster", "--matrix", str(path), "--dt", "0.4"]) == 0
+    assert main(["cluster", "--matrix", str(path), "--set", "dt=0.4"]) == 0
     out = capsys.readouterr().out
     assert "threshold = 0.400000" in out
     assert "partition: {1, 4, 8}, {2}, {3, 5, 6, 7, 9}" in out
 
-    assert main(["cluster", "--matrix", str(path), "--adaptive"]) == 0
+    assert main(["cluster", "--matrix", str(path), "--set", "dt_mode=adaptive"]) == 0
     out = capsys.readouterr().out
     assert "threshold = 0.464149" in out
     assert "partition: {1, 4, 8}, {2}, {3, 5, 6, 7, 9}" in out
-
-
-def test_cluster_threshold_flags_are_exclusive(tmp_path, capsys):
-    path = tmp_path / "grid.csv"
-    write_matrix_csv(SimilarityMatrix(list(GRID_IDS), grid_matrix_values()), path)
-    assert main(["cluster", "--matrix", str(path), "--dt", "0.4", "--adaptive"]) == 1
 
 
 def test_cluster_corpus_prints_partition(cli_corpus, cli_truth, capsys):
@@ -266,7 +273,7 @@ def test_eval_with_a_one_column_labels_row_is_a_data_error(cli_corpus, tmp_path,
 def test_non_finite_inputs_are_data_errors(tmp_path, capsys):
     matrix = tmp_path / "nan.csv"
     matrix.write_text("book_id,a,b\na,1.0,nan\nb,nan,1.0\n", encoding="utf-8")
-    assert main(["cluster", "--matrix", str(matrix), "--dt", "0.4"]) == 2
+    assert main(["cluster", "--matrix", str(matrix), "--set", "dt=0.4"]) == 2
     series = tmp_path / "nan-series.csv"
     series.write_text("0.0,0.2\n0.5,nan\n1.0,0.8\n", encoding="utf-8")
     assert main(["spsi", "--series-a", str(series), "--series-b", str(series)]) == 2
@@ -328,6 +335,48 @@ def test_search_rejects_an_overflowing_catalogue_number(cli_corpus, tmp_path, ca
     err = capsys.readouterr().err
     assert "non-finite" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda p: p.update(config=[]),
+    lambda p: p["config"].update(colour="blue"),
+    lambda p: p["config"].update(length_ratio_limit="x"),
+    lambda p: p["config"].update(length_ratio_limit=1.5),
+    lambda p: p["entries"][0]["series"].reverse(),
+    lambda p: p["entries"][0]["series"].__delitem__(slice(1, None)),
+], ids=["config-not-a-mapping", "unknown-config-key", "ratio-not-a-number",
+        "ratio-out-of-range", "swapped-positions", "one-point"])
+def test_search_of_a_malformed_catalogue_names_the_file(cli_catalogue, tmp_path, capsys,
+                                                         corrupt):
+    payload = copy.deepcopy(cli_catalogue)
+    corrupt(payload)
+    path = tmp_path / "catalogue.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    book_id = payload["entries"][-1]["book_id"]
+    capsys.readouterr()
+    assert main(["search", "--catalogue", str(path), "--like", book_id]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err
+    assert "Traceback" not in err
+
+
+def _readme_commands():
+    """The ``arcindex`` lines of README's sh blocks, continuations joined."""
+    text = README.read_text(encoding="utf-8")
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", text, re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("arcindex "):
+                commands.append(shlex.split(line)[1:])
+    return commands
+
+
+def test_readme_commands_run(tmp_path):
+    commands = _readme_commands()
+    assert commands
+    for argv in commands:
+        argv = [arg.replace("/tmp/demo", str(tmp_path)) for arg in argv]
+        assert main(argv) == 0, argv
 
 
 def test_synth_is_deterministic_across_runs(tmp_path, capsys):

@@ -14,6 +14,8 @@ from reference_data import (GRID_ADAPTIVE_DT, GRID_FIRST_MERGE, GRID_IDS,
                             grid_matrix_values, grid_pair_sims_str,
                             random_matrix_values)
 
+RATIO = PipelineConfig().length_ratio_limit
+
 
 def _grid_matrix():
     return SimilarityMatrix(book_ids=list(GRID_IDS), values=grid_matrix_values())
@@ -150,7 +152,7 @@ def test_series_clustering_merges_identical_shapes():
     spike = _series("spike", [0.05, 0.95, 0.05, 0.95])
     cfg = PipelineConfig(dt=0.9)
     shelf = [flat_a, flat_b, spike]
-    clusters, dt, trace = cluster_series(shelf, cfg, spsi_matrix(shelf))
+    clusters, dt, trace = cluster_series(shelf, cfg, spsi_matrix(shelf, RATIO))
     assert dt == 0.9
     by_members = sorted(tuple(c.members) for c in clusters)
     assert ("flat-a", "flat-b") in by_members
@@ -161,7 +163,7 @@ def test_cluster_representative_is_member_mean():
     a = _series("a", [0.2, 0.4, 0.6])
     b = _series("b", [0.4, 0.6, 0.8])
     cfg = PipelineConfig(dt=0.5)
-    clusters, _, _ = cluster_series([a, b], cfg, spsi_matrix([a, b]))
+    clusters, _, _ = cluster_series([a, b], cfg, spsi_matrix([a, b], RATIO))
     assert len(clusters) == 1
     rep = clusters[0].representative
     assert [p.value for p in rep.points] == pytest.approx([0.3, 0.5, 0.7])
@@ -172,7 +174,7 @@ def test_cluster_ids_are_smallest_member():
     a = _series("a", [0.2, 0.4, 0.6])
     b = _series("b", [0.2, 0.4, 0.6])
     cfg = PipelineConfig(dt=0.5)
-    clusters, _, _ = cluster_series([b, a], cfg, spsi_matrix([b, a]))
+    clusters, _, _ = cluster_series([b, a], cfg, spsi_matrix([b, a], RATIO))
     assert len(clusters) == 1
     assert clusters[0].cluster_id == "a"
     assert clusters[0].members == ["a", "b"]
@@ -182,7 +184,7 @@ def test_series_clustering_rejects_duplicate_ids():
     a = _series("same", [0.1, 0.2])
     b = _series("same", [0.3, 0.4])
     with pytest.raises(ValueError):
-        cluster_series([a, b], PipelineConfig(), spsi_matrix([a, b]))
+        cluster_series([a, b], PipelineConfig(), spsi_matrix([a, b], RATIO))
 
 
 def test_precomputed_matrix_must_match_series():
@@ -197,7 +199,7 @@ def test_cluster_report_shape():
     a = _series("a", [0.2, 0.4, 0.6])
     b = _series("b", [0.4, 0.6, 0.8])
     cfg = PipelineConfig(dt=0.5)
-    clusters, dt, _ = cluster_series([a, b], cfg, spsi_matrix([a, b]))
+    clusters, dt, _ = cluster_series([a, b], cfg, spsi_matrix([a, b], RATIO))
     report = cluster_report(clusters, dt)
     assert report["dynamic_threshold"] == 0.5
     assert len(report["clusters"]) == 1

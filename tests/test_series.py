@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arcindex.config import PipelineConfig
 from arcindex.errors import DegenerateSeries, FormatError, TooFewPivots
 from arcindex.pivots import PivotPoint
 from arcindex.series import (INTERPOLATED, PRIMARY, SECONDARY, SentimentSeries,
@@ -11,6 +12,8 @@ from arcindex.series import (INTERPOLATED, PRIMARY, SECONDARY, SentimentSeries,
                              build_series, export_series_csv, read_series_csv,
                              resample_secondary)
 from oracle_reference import ref_resample_secondary
+
+RATIO = PipelineConfig().length_ratio_limit
 
 
 def _pivot(block, position, sv):
@@ -41,7 +44,7 @@ def test_build_series_needs_two_pivots():
 def test_equal_lengths_pass_through_unchanged():
     a = _series("a", [0.0, 0.5, 1.0], [0.1, 0.2, 0.3])
     b = _series("b", [0.0, 0.5, 1.0], [0.4, 0.5, 0.6])
-    ra, rb = align_lengths(a, b)
+    ra, rb = align_lengths(a, b, RATIO)
     assert ra is a and rb is b
 
 
@@ -54,7 +57,7 @@ def test_alignment_fills_two_largest_gaps():
     positions = [0.0, 0.30, 0.52, 0.60, 0.68, 0.76, 0.88, 1.0]
     values = [0.2, 0.4, 0.6, 0.5, 0.4, 0.3, 0.7, 0.8]
     shorter = _series("short", positions, values)
-    ra, rb = align_lengths(longer, shorter)
+    ra, rb = align_lengths(longer, shorter, RATIO)
     assert len(ra) == len(rb) == 10
     added = [p for p in rb.points if p.provenance == INTERPOLATED]
     assert len(added) == 2
@@ -69,7 +72,7 @@ def test_alignment_fills_two_largest_gaps():
 def test_interpolated_point_takes_midpoint_value():
     a = _series("a", [0.0, 1.0], [0.2, 0.8])
     b = _series("b", [0.0, 0.5, 1.0], [0.1, 0.2, 0.3])
-    ra, _ = align_lengths(a, b)
+    ra, _ = align_lengths(a, b, RATIO)
     mid = ra.points[1]
     assert mid.position == 0.5
     assert mid.value == pytest.approx(0.5)
@@ -80,7 +83,7 @@ def test_gap_ties_split_the_earliest_gap():
     a = _series("a", [0.0, 0.5, 1.0], [0.3, 0.6, 0.9])
     b = _series("b", [0.0, 0.25, 0.5, 1.0], [0.1, 0.2, 0.3, 0.4])
     # a's gaps tie at 0.5; the first one splits.
-    ra, _ = align_lengths(a, b)
+    ra, _ = align_lengths(a, b, RATIO)
     assert ra.points[1].position == 0.25
 
 
@@ -104,7 +107,7 @@ def test_random_pairs_align_without_touching_originals():
             p_short = positions(n_short)
         a = _series("a", p_long, [rng.random() for _ in p_long])
         b = _series("b", p_short, [rng.random() for _ in p_short])
-        ra, rb = align_lengths(a, b)
+        ra, rb = align_lengths(a, b, RATIO)
         assert len(ra) == len(rb) == n_long
         assert ra is a
         kept = [(p.position, p.value, p.provenance) for p in rb.points
@@ -130,7 +133,7 @@ def test_large_deficit_routes_through_secondary_resampling(monkeypatch):
     monkeypatch.setattr(series_mod, "resample_secondary", spy)
     a = _series("a", [i / 9 for i in range(10)], [0.5] * 10)
     b = _series("b", [0.0, 0.4, 1.0], [0.2, 0.9, 0.3])
-    ra, rb = align_lengths(a, b)
+    ra, rb = align_lengths(a, b, RATIO)
     assert calls == [7]
     assert len(ra) == len(rb) == 10
 
@@ -251,8 +254,8 @@ def test_alignment_memo_stays_out_of_equality_and_repr():
     shorter = _series("short", [0.0, 0.4, 1.0], [0.2, 0.9, 0.3])
     twin = _series("short", [0.0, 0.4, 1.0], [0.2, 0.9, 0.3])
     before = repr(shorter)
-    _, grown = align_lengths(longer, shorter)
-    assert align_lengths(longer, shorter)[1] is grown
+    _, grown = align_lengths(longer, shorter, RATIO)
+    assert align_lengths(longer, shorter, RATIO)[1] is grown
     assert shorter == twin
     assert repr(shorter) == before
 
@@ -261,7 +264,7 @@ def test_alignment_rejects_single_point_series():
     a = _series("a", [0.0, 0.5, 1.0], [0.1, 0.2, 0.3])
     b = SentimentSeries(book_id="b", points=[SeriesPoint(0.5, 0.5)])
     with pytest.raises(DegenerateSeries):
-        align_lengths(a, b)
+        align_lengths(a, b, RATIO)
 
 
 def test_series_csv_round_trip(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arcindex.config import PipelineConfig
 from arcindex.errors import DegenerateSeries, LengthMismatch
 from arcindex.series import SentimentSeries, SeriesPoint
 from arcindex.similarity import (SimilarityMatrix, read_matrix_csv, spsi,
@@ -12,6 +13,8 @@ from arcindex.similarity import (SimilarityMatrix, read_matrix_csv, spsi,
 from oracle_reference import ref_spsi, ref_spsi_parts
 from reference_data import (CLOSED_FORM_SPSI, EXPECTED_PS, EXPECTED_SD,
                             EXPECTED_SPSI, SERIES_A, SERIES_B)
+
+RATIO = PipelineConfig().length_ratio_limit
 
 
 def test_identical_series_score_exactly_one():
@@ -138,7 +141,7 @@ def _series(book_id, values):
 def test_matrix_is_symmetric_with_unit_diagonal():
     rng = random.Random(15)
     series = [_series(f"b{i}", [rng.random() for _ in range(6)]) for i in range(5)]
-    m = spsi_matrix(series)
+    m = spsi_matrix(series, RATIO)
     for i in range(5):
         assert m.values[i][i] == 1.0
         for j in range(5):
@@ -148,26 +151,26 @@ def test_matrix_is_symmetric_with_unit_diagonal():
 def test_matrix_of_identical_series_is_all_ones():
     base = [0.2, 0.4, 0.6, 0.8]
     series = [_series(f"b{i}", base) for i in range(4)]
-    m = spsi_matrix(series)
+    m = spsi_matrix(series, RATIO)
     assert all(v == 1.0 for row in m.values for v in row)
 
 
 def test_matrix_aligns_unequal_lengths_pairwise():
     s1 = _series("long", [0.1, 0.9, 0.2, 0.8, 0.3, 0.7, 0.4, 0.6, 0.5, 0.5])
     s2 = _series("short", [0.5, 0.4, 0.6, 0.3, 0.7, 0.2, 0.8, 0.1])
-    m = spsi_matrix([s1, s2])
+    m = spsi_matrix([s1, s2], RATIO)
     assert 0.0 < m.values[0][1] <= 1.0
 
 
 def test_matrix_needs_two_series():
     with pytest.raises(DegenerateSeries):
-        spsi_matrix([_series("only", [0.1, 0.2])])
+        spsi_matrix([_series("only", [0.1, 0.2])], RATIO)
 
 
 def test_matrix_csv_round_trip(tmp_path):
     rng = random.Random(16)
     series = [_series(f"b{i}", [rng.random() for _ in range(5)]) for i in range(3)]
-    m = spsi_matrix(series)
+    m = spsi_matrix(series, RATIO)
     path = tmp_path / "matrix.csv"
     write_matrix_csv(m, path)
     back = read_matrix_csv(path)
