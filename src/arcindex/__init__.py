@@ -31,8 +31,7 @@ from .pivots import (InteractionIndex, PivotPoint, block_sentiment,
                      block_sentiments, compute_interactions, detect_pivots,
                      predominant_pair, smooth)
 from .series import (INTERPOLATED, PRIMARY, SECONDARY, SentimentSeries, SeriesPoint,
-                     align_lengths, build_series, export_series_csv, read_series_csv,
-                     resample_secondary)
+                     align_lengths, build_series, export_series_csv, read_series_csv)
 from .similarity import (SimilarityMatrix, SpsiBreakdown, read_matrix_csv, score,
                          spsi, spsi_breakdown, spsi_matrix, write_matrix_csv)
 from .synth import (DEFAULT_TEMPLATES, ArcTemplate, GenSpec, SynthResult,

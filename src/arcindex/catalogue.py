@@ -12,7 +12,10 @@ points are stored without provenance.
 ``load`` checks what it reads: the config must be a valid
 :class:`PipelineConfig`, and every series is checked as a series CSV
 is (finite, non-negative values, strictly increasing positions, at
-least 2 points). Anything else is a ``FormatError`` naming the file.
+least 2 points). Book and cluster ids, titles and authors must be
+strings (an author may be null), ids unique, and each cluster's
+members exactly the entries that name it. Anything else is a
+``FormatError`` naming the file.
 """
 
 from __future__ import annotations
@@ -194,28 +197,54 @@ def load(path) -> Catalogue:
     except (TypeError, ConfigError) as exc:
         raise FormatError(f"{path}: bad catalogue config: {exc}") from None
     try:
-        clusters = [
-            IndexCluster(
-                cluster_id=c["cluster_id"],
-                members=list(c["members"]),
-                representative=_series_from_payload(
-                    f"cluster:{c['cluster_id']}", c["representative"]),
-            )
-            for c in payload["clusters"]
-        ]
+        clusters = []
+        named = {}          # cluster id -> ids of the entries that name it
+        for c in payload["clusters"]:
+            cluster_id, members = c["cluster_id"], c["members"]
+            if not isinstance(cluster_id, str) or cluster_id in named:
+                raise ValueError(f"cluster id {cluster_id!r} is not a unique string")
+            if not isinstance(members, list):
+                raise ValueError(f"members of cluster {cluster_id!r} are not a list")
+            named[cluster_id] = set()
+            clusters.append(IndexCluster(
+                cluster_id=cluster_id,
+                members=members,
+                representative=_series_from_payload(f"cluster:{cluster_id}",
+                                                    c["representative"]),
+            ))
         entries = []
+        book_ids = set()
         for e in payload["entries"]:
+            book_id, title, author = e["book_id"], e["title"], e.get("author")
+            cluster_id = e["cluster_id"]
+            if not (isinstance(book_id, str) and isinstance(title, str)
+                    and isinstance(cluster_id, str)
+                    and (author is None or isinstance(author, str))):
+                raise ValueError(f"entry {book_id!r}: book_id, title and cluster_id "
+                                 "must be strings, author a string or null")
+            if book_id in book_ids:
+                raise ValueError(f"duplicate book_id {book_id!r}")
+            if cluster_id not in named:
+                raise ValueError(f"entry {book_id!r} names no cluster {cluster_id!r}")
+            book_ids.add(book_id)
+            named[cluster_id].add(book_id)
             distance = float(e["distance"])
             if not isfinite(distance):
-                raise ValueError(f"non-finite distance of {e['book_id']!r}")
+                raise ValueError(f"non-finite distance of {book_id!r}")
             entries.append(CatalogueEntry(
-                book_id=e["book_id"],
-                title=e["title"],
-                author=e.get("author"),
-                cluster_id=e["cluster_id"],
+                book_id=book_id,
+                title=title,
+                author=author,
+                cluster_id=cluster_id,
                 distance=distance,
-                series=_series_from_payload(e["book_id"], e["series"]),
+                series=_series_from_payload(book_id, e["series"]),
             ))
+        # Members equal to these string ids need no type check of their own.
+        for c in clusters:
+            ids = named[c.cluster_id]
+            if len(c.members) != len(ids) or set(c.members) != ids:
+                raise ValueError(f"members of cluster {c.cluster_id!r} are not "
+                                 "the entries that name it")
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: malformed catalogue structure: {exc}") from exc
     return Catalogue(format_version=version, config=config,

@@ -29,6 +29,10 @@ class PipelineConfig:
     length_ratio_limit: float = 0.3  # alignment switches strategy above this
 
     def validate(self) -> "PipelineConfig":
+        for name, kind in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, _ACCEPTED[kind]):
+                raise ConfigError(f"{name} must be of type {kind}, got {value!r}")
         if self.block_size < 50:
             raise ConfigError("block_size must be >= 50 (smaller blocks score sentiment too noisily)")
         if self.prime_max < 1:
@@ -61,6 +65,8 @@ class PipelineConfig:
 
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(PipelineConfig)}
+# The Python types each annotation admits; bool is refused everywhere.
+_ACCEPTED = {"int": int, "float": (int, float), "str": str}
 
 
 def _coerce(key: str, raw: str):

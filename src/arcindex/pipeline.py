@@ -20,7 +20,8 @@ from .errors import ArcIndexError, FormatError
 from .ingest import (AliasTable, BookDocument, _utf8_lines, load_aliases,
                      load_cmu_summaries, load_default_lexicon, load_plain_text,
                      segment_blocks)
-from .pivots import block_sentiments, compute_interactions, predominant_pair, smooth
+from .pivots import (block_positions, block_sentiments, compute_interactions,
+                     predominant_pair, smooth)
 from .series import SentimentSeries, build_series
 from .similarity import SimilarityMatrix, spsi_matrix
 
@@ -80,10 +81,9 @@ def _analyze(doc, cfg, lexicon, aliases) -> BookAnalysis:
     sentiments = block_sentiments(blocks, doc, lexicon, cfg)
     smoothed = smooth(sentiments, cfg.smoothing_radius)
     pair, pivots = predominant_pair(core, interactions, sentiments, smoothed, cfg)
-    series = build_series(doc.book_id, pivots)
-    denom = len(blocks) - 1
     ranked = sorted(interactions.interacting_blocks(pair), key=lambda b: (-smoothed[b], b))
-    series.context = [(b / denom if denom > 0 else 0.0, sentiments[b]) for b in ranked]
+    context = list(zip(block_positions(ranked, len(blocks)), [sentiments[b] for b in ranked]))
+    series = build_series(doc.book_id, pivots, context)
     return BookAnalysis(
         book_id=doc.book_id,
         title=doc.title,

@@ -18,8 +18,8 @@ from .ingest import BookDocument
 
 __all__ = [
     "PivotPoint", "block_sentiment", "block_sentiments", "smooth",
-    "InteractionIndex", "compute_interactions", "detect_pivots",
-    "predominant_pair",
+    "InteractionIndex", "compute_interactions", "block_positions",
+    "detect_pivots", "predominant_pair",
 ]
 
 
@@ -118,6 +118,17 @@ def compute_interactions(profiles, window: int, block_size: int,
     return InteractionIndex(counts, block_count)
 
 
+def block_positions(block_indices, block_count: int) -> list:
+    """The narrative fraction in [0, 1] of each block index.
+
+    Pivots and a series' context blocks both take their positions from
+    here, so a context block at a pivot's block sits at exactly the
+    pivot's position.
+    """
+    denom = block_count - 1
+    return [b / denom if denom > 0 else 0.0 for b in block_indices]
+
+
 def _local_maxima(smoothed_subsequence) -> list:
     """Indices of local maxima; plateaus resolve to their leftmost block."""
     out = []
@@ -147,17 +158,16 @@ def detect_pivots(pair_key, interactions: InteractionIndex, sentiments,
         ranked = sorted(maxima,
                         key=lambda b: (-interactions.intensity(pair_key, b), b))
         maxima = sorted(ranked[:cfg.max_pivots])
-    denom = interactions.block_count - 1
     participants = frozenset(pair_key)
     return [
         PivotPoint(
             block_index=b,
-            position=b / denom if denom > 0 else 0.0,
+            position=position,
             sv=sentiments[b],
             participants=participants,
             occurrence_weight=interactions.intensity(pair_key, b),
         )
-        for b in maxima
+        for b, position in zip(maxima, block_positions(maxima, interactions.block_count))
     ]
 
 

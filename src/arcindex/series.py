@@ -1,10 +1,11 @@
-"""Sentiment progression series: construction, alignment, resampling.
+"""Sentiment progression series: construction and alignment.
 
 A series is the ordered list of (narrative position, sentiment value)
 points taken at a book's pivot points. Two series are only comparable at
-equal lengths; the shorter one is padded by interpolation when the
-length difference is small, and by promoting secondary pivots from the
-originating book when it is large.
+equal lengths, so the shorter one grows by splitting its widest gap, one
+point at a time: with a secondary pivot from the originating book when
+the length difference is large and such a pivot lies in the gap, and
+with the gap's midpoint otherwise.
 """
 
 from __future__ import annotations
@@ -37,8 +38,7 @@ class SentimentSeries:
 
     A series is a value once it is first aligned: ``align_lengths``
     keeps every copy it grows from this series, so do not mutate
-    ``points`` or ``context`` after that. Set ``context`` before any
-    alignment, as ``analyze_book`` does.
+    ``points`` or ``context`` after that.
     """
     book_id: str
     points: list
@@ -53,19 +53,16 @@ class SentimentSeries:
     def __len__(self) -> int:
         return len(self.points)
 
-    def positions(self) -> list:
-        return [p.position for p in self.points]
-
     def values(self) -> list:
         return [p.value for p in self.points]
 
 
-def build_series(book_id: str, pivots) -> SentimentSeries:
-    """One primary point per pivot, in narrative order."""
+def build_series(book_id: str, pivots, context=None) -> SentimentSeries:
+    """One primary point per pivot, in narrative order, with the book's context."""
     if len(pivots) < 2:
         raise TooFewPivots(f"{book_id}: {len(pivots)} pivot(s), need at least 2")
     points = [SeriesPoint(p.position, p.sv, PRIMARY) for p in pivots]
-    return SentimentSeries(book_id=book_id, points=points)
+    return SentimentSeries(book_id=book_id, points=points, context=context)
 
 
 def _largest_gap(points) -> int:
@@ -86,16 +83,6 @@ def _lerp(lo, hi, position: float) -> float:
     return lo.value + t * (hi.value - lo.value)
 
 
-def _insert_midpoint(points) -> list:
-    i = _largest_gap(points)
-    lo, hi = points[i], points[i + 1]
-    mid = (lo.position + hi.position) / 2.0
-    if not lo.position < mid < hi.position:
-        raise DegenerateSeries("gap too narrow to split")
-    value = _lerp(lo, hi, mid)
-    return points[:i + 1] + [SeriesPoint(mid, value, INTERPOLATED)] + points[i + 1:]
-
-
 def _primary_bounds(points, position: float):
     """The nearest primary points strictly left and right of position."""
     left = right = None
@@ -109,37 +96,37 @@ def _primary_bounds(points, position: float):
     return left, right
 
 
-def resample_secondary(series: SentimentSeries, deficit: int) -> SentimentSeries:
-    """Grow a series by promoting secondary pivots from its source book.
+def _grow(points, target: int, context) -> list:
+    """A copy of points grown to target points, one point per widest gap.
 
-    Each inserted point is the best-ranked context block strictly inside
-    the current widest gap; the gap lies between adjacent points, so no
-    point sits there yet. Its value is the average of the block's own
-    sentiment and the straight-line value between the bracketing primary
-    pivots. Gaps with no context block fall back to midpoint
-    interpolation.
+    Each step splits the widest gap, ties to the earliest. The first
+    ``context`` block strictly inside it becomes a secondary point,
+    valued at the mean of the block's own sentiment and the straight
+    line between the nearest primary points either side of it, or
+    between the gap's ends when a side has none. A gap with no such
+    block gets an interpolated point at its midpoint. The gap lies
+    between adjacent points, so no point sits there yet.
     """
-    if deficit <= 0:
-        return series
-    points = list(series.points)
-    context = series.context or ()
-    for _ in range(deficit):
+    points = list(points)
+    while len(points) < target:
         i = _largest_gap(points)
         lo, hi = points[i], points[i + 1]
         chosen = next((block for block in context
                        if lo.position < block[0] < hi.position), None)
         if chosen is None:
-            points = _insert_midpoint(points)
-            continue
-        position, block_value = chosen
-        p_left, p_right = _primary_bounds(points, position)
-        if p_left is None or p_right is None:
-            baseline = _lerp(lo, hi, position)
+            mid = (lo.position + hi.position) / 2.0
+            if not lo.position < mid < hi.position:
+                raise DegenerateSeries("gap too narrow to split")
+            point = SeriesPoint(mid, _lerp(lo, hi, mid), INTERPOLATED)
         else:
-            baseline = _lerp(p_left, p_right, position)
-        value = (block_value + baseline) / 2.0
-        points = points[:i + 1] + [SeriesPoint(position, value, SECONDARY)] + points[i + 1:]
-    return SentimentSeries(book_id=series.book_id, points=points, context=series.context)
+            position, block_value = chosen
+            left, right = _primary_bounds(points, position)
+            if left is None or right is None:
+                left, right = lo, hi
+            value = (block_value + _lerp(left, right, position)) / 2.0
+            point = SeriesPoint(position, value, SECONDARY)
+        points.insert(i + 1, point)
+    return points
 
 
 def align_lengths(s1: SentimentSeries, s2: SentimentSeries, ratio_limit: float):
@@ -148,7 +135,7 @@ def align_lengths(s1: SentimentSeries, s2: SentimentSeries, ratio_limit: float):
     Existing points are never touched. When the length difference ratio
     is within ``ratio_limit`` the shorter series gains interpolated
     midpoints of its widest gaps; beyond that, secondary pivots from the
-    source book are promoted first.
+    source book's context are promoted where they fall in a widest gap.
 
     The grown copy depends only on the shorter series, the target length
     and whether promotion applies, so it is kept on the shorter series
@@ -163,13 +150,9 @@ def align_lengths(s1: SentimentSeries, s2: SentimentSeries, ratio_limit: float):
     promoted = (target - len(shorter)) / target > ratio_limit
     grown = shorter._grown.get((target, promoted))
     if grown is None:
-        source = shorter
-        if promoted:
-            source = resample_secondary(shorter, deficit=target - len(shorter))
-        points = list(source.points)
-        while len(points) < target:
-            points = _insert_midpoint(points)
-        grown = SentimentSeries(book_id=shorter.book_id, points=points,
+        context = (shorter.context or ()) if promoted else ()
+        grown = SentimentSeries(book_id=shorter.book_id,
+                                points=_grow(shorter.points, target, context),
                                 context=shorter.context)
         shorter._grown[(target, promoted)] = grown
     return (s1, grown) if longer is s1 else (grown, s2)

@@ -12,14 +12,13 @@ from contextlib import contextmanager
 
 import pytest
 
-import arcindex.series as series_mod
 from arcindex.baselines import agreement
 from arcindex.catalogue import load as load_catalogue, save as save_catalogue
 from arcindex.clustering import cluster_matrix
 from arcindex.ingest import load_cmu_summaries
 from arcindex.pipeline import evaluate
-from arcindex.series import (INTERPOLATED, PRIMARY, SentimentSeries, SeriesPoint,
-                             align_lengths)
+from arcindex.series import (INTERPOLATED, PRIMARY, SECONDARY, SentimentSeries,
+                             SeriesPoint, align_lengths)
 from arcindex.similarity import SimilarityMatrix, spsi
 
 from oracle_reference import ref_spsi
@@ -91,7 +90,7 @@ def test_criterion_4_fixture_matrix_partition(announce):
         assert first_sim == GRID_FIRST_MERGE[2]
 
 
-def test_criterion_5_alignment_fixture_and_properties(announce, monkeypatch):
+def test_criterion_5_alignment_fixture_and_properties(announce):
     with announce(5, "gap-midpoint alignment and the resampling route"):
         long_positions = [i / 9 for i in range(10)]
         short_positions = [0.0, 0.30, 0.52, 0.60, 0.68, 0.76, 0.88, 1.0]
@@ -124,22 +123,20 @@ def test_criterion_5_alignment_fixture_and_properties(announce, monkeypatch):
             assert len(out_long) == len(out_short) == n_long
             survivors = [p for p in out_short.points if p.provenance == PRIMARY]
             assert survivors == s_short.points
-            positions = out_short.positions()
+            positions = [p.position for p in out_short.points]
             assert positions == sorted(positions)
 
-        calls = []
-        original = series_mod.resample_secondary
-
-        def spy(series, deficit):
-            calls.append(deficit)
-            return original(series, deficit)
-
-        monkeypatch.setattr(series_mod, "resample_secondary", spy)
         wide_long = _series([i / 9 for i in range(10)], [0.5] * 10, book_id="a")
         wide_short = _series([0.0, 0.4, 1.0], [0.2, 0.9, 0.3], book_id="b")
+        wide_short.context = [(0.7, 0.8), (0.2, 0.6), (0.9, 0.4), (0.55, 0.5)]
+        blocks = {position for position, _ in wide_short.context}
+        # Above the ratio the context blocks are promoted; within it, midpoints only.
         out_long, out_short = align_lengths(wide_long, wide_short, 0.3)
-        assert calls == [7]
         assert len(out_long) == len(out_short) == 10
+        promoted = [p.position for p in out_short.points if p.provenance == SECONDARY]
+        assert promoted and set(promoted) <= blocks
+        _, out_short = align_lengths(wide_long, wide_short, 0.8)
+        assert {p.provenance for p in out_short.points} == {PRIMARY, INTERPOLATED}
 
 
 def test_criterion_6_synthetic_corpus_recovery(announce, synth_full,

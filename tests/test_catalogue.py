@@ -170,7 +170,7 @@ def test_load_rejects_overflowing_numbers(tmp_path, where):
         load(path)
 
 
-# Each corruption of a saved series and the words its error must contain.
+# Each corruption of a saved catalogue and the words its error must contain.
 _BAD_SERIES = {
     "entry": (lambda p: p["entries"][0]["series"][1].update(value=-0.5), "negative"),
     "representative": (lambda p: p["clusters"][0]["representative"][1].update(value=-0.5),
@@ -178,6 +178,16 @@ _BAD_SERIES = {
     "swapped-positions": (lambda p: p["entries"][0]["series"].reverse(), "strictly increase"),
     "one-point": (lambda p: p["entries"][0]["series"].__delitem__(slice(1, None)),
                   "at least 2"),
+    "null-title": (lambda p: p["entries"][0].update(title=None), "title"),
+    "numeric-author": (lambda p: p["entries"][0].update(author=7), "author"),
+    "members-a-string": (lambda p: p["clusters"][1].update(members="abc"), "not a list"),
+    "entry-names-no-cluster": (lambda p: p["entries"][0].update(cluster_id="nowhere"),
+                               "no cluster"),
+    "member-without-entry": (lambda p: p["clusters"][1]["members"].append("book-z"),
+                             "not the entries"),
+    "duplicate-book-id": (lambda p: p["entries"][1].update(book_id=p["entries"][0]["book_id"]),
+                          "duplicate"),
+    "duplicate-cluster-id": (lambda p: p["clusters"][1].update(cluster_id="book-a"), "unique"),
 }
 
 
@@ -199,7 +209,10 @@ def test_load_rejects_negative_values(tmp_path, where):
     {**PipelineConfig().to_dict(), "colour": "blue"},
     {"length_ratio_limit": "x"},
     {"length_ratio_limit": 1.5},
-], ids=["not-a-mapping", "unknown-key", "wrong-type", "out-of-range"])
+    {"block_size": 120.5},
+    {"prime_max": True},
+], ids=["not-a-mapping", "unknown-key", "wrong-type", "out-of-range", "float-for-int",
+        "bool-for-int"])
 def test_load_rejects_a_bad_config(tmp_path, config):
     path = tmp_path / "catalogue.json"
     save(_toy_catalogue(), path)

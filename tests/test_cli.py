@@ -344,8 +344,18 @@ def test_search_rejects_an_overflowing_catalogue_number(cli_corpus, tmp_path, ca
     lambda p: p["config"].update(length_ratio_limit=1.5),
     lambda p: p["entries"][0]["series"].reverse(),
     lambda p: p["entries"][0]["series"].__delitem__(slice(1, None)),
+    # The second entry ties with the first, so search would sort by title.
+    lambda p: p["entries"][0].update(title=None, series=p["entries"][1]["series"]),
+    lambda p: p["clusters"][0].update(members="abc"),
+    lambda p: p["entries"][0].update(cluster_id="nowhere"),
+    lambda p: p["clusters"][0]["members"].append("nobody"),
+    lambda p: p["entries"][1].update(book_id=p["entries"][0]["book_id"]),
+    lambda p: p["config"].update(block_size=120.5),
+    lambda p: p["config"].update(prime_max=True),
 ], ids=["config-not-a-mapping", "unknown-config-key", "ratio-not-a-number",
-        "ratio-out-of-range", "swapped-positions", "one-point"])
+        "ratio-out-of-range", "swapped-positions", "one-point", "null-title-with-a-tie",
+        "members-a-string", "entry-names-no-cluster", "member-without-entry",
+        "duplicate-book-id", "block-size-not-an-int", "prime-max-a-bool"])
 def test_search_of_a_malformed_catalogue_names_the_file(cli_catalogue, tmp_path, capsys,
                                                          corrupt):
     payload = copy.deepcopy(cli_catalogue)

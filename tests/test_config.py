@@ -35,6 +35,24 @@ def test_out_of_range_values_are_rejected(field, value):
         cfg.validate()
 
 
+@pytest.mark.parametrize("field,value", [
+    ("block_size", 120.5),
+    ("prime_max", True),
+    ("window", "50"),
+    ("alpha", False),
+    ("dt", "0.5"),
+    ("dt_mode", 1),
+])
+def test_values_of_the_wrong_type_are_rejected(field, value):
+    with pytest.raises(ConfigError, match=field):
+        PipelineConfig(**{field: value}).validate()
+
+
+def test_float_fields_accept_ints():
+    cfg = PipelineConfig(alpha=0, edge_threshold=1).validate()
+    assert (cfg.alpha, cfg.edge_threshold) == (0, 1)
+
+
 def test_replace_returns_validated_copy():
     base = PipelineConfig()
     changed = base.replace(dt=0.95)

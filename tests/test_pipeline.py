@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -11,14 +12,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import arcindex
-from arcindex.catalogue import save
+from arcindex.catalogue import load, save, search_similar
 from arcindex.characters import extract_characters
+from arcindex.config import PipelineConfig
 from arcindex.errors import CoreExtractionError, FormatError, TooFewPivots
 from arcindex.ingest import (AliasTable, BookDocument, load_default_lexicon, load_store,
                              save_store, segment_blocks, tokenize)
 from arcindex.pipeline import (analyze_book, analyze_corpus, build_from_documents,
                                evaluate, load_corpus_dir, load_labels)
 from arcindex.pivots import block_sentiments, compute_interactions, smooth
+from arcindex.series import SECONDARY, align_lengths
 from arcindex.similarity import score
 from arcindex.synth import DEFAULT_TEMPLATES, ArcTemplate, GenSpec, generate, write_corpus
 
@@ -307,3 +310,59 @@ def test_the_kept_analysis_is_never_saved(tmp_path, synth_small, synth_cfg):
     assert (tmp_path / "before.json").read_bytes() == (tmp_path / "after.json").read_bytes()
     assert load_store(tmp_path / "after.json") == docs
     assert "_analysis" not in repr(docs[0])
+
+
+# Windows of the default templates that a shelf of mixed lengths holds,
+# as perfbench's shelves cut them: archetype id -> {length: first index
+# kept}. Each window ends on a value of at least 0.35, so the analysed
+# series has exactly the window's length.
+_WINDOWS = {1: {9: 0, 7: 0, 5: 0}, 2: {9: 3, 7: 5, 5: 7}, 3: {9: 0, 7: 0, 5: 0}, 4: {9: 2}}
+
+PROMOTED_SHELF_DIGESTS = {
+    "matrix": "496d9008100cfc9b570a0d589ddb9fce0cadab9f81dae7a4b1d817818031158d",
+    "merge_trace": "bdc6d2e71431eaf72c57e6ebc5806f30b1c3d962cb236a70c2ec0aa95fb0af73",
+    "catalogue": "76ede1daad378cb8f724dd2749a15c879bfc80898ae0374dc7b3b3f70b01178d",
+    "like": "7f7ce55b4e6df049f9ddc44615f454cdf3ea05e94d5663c766002516541bd722",
+}
+
+
+def promoted_shelf_digests(workdir):
+    """Index, save, load and search a shelf of 12-, 9-, 7- and 5-point books.
+
+    Returns the alignment routes its pairs take and the SHA-256 of the
+    matrix values, the merge trace, the saved catalogue and every like
+    result after load. It needs neither pytest nor hypothesis, so a
+    plain script can run it under any Python version.
+    """
+    templates = []
+    for n in (12, 9, 7, 5):
+        for t in DEFAULT_TEMPLATES:
+            start = 0 if n == 12 else _WINDOWS[t.archetype_id].get(n)
+            if start is not None:
+                templates.append(ArcTemplate(t.archetype_id, f"{t.name}-{n}", t.description,
+                                             t.values[start:start + n]))
+    corpus = generate(GenSpec(seed=11, books_per_archetype=2, templates=tuple(templates)))
+    cfg = PipelineConfig(**corpus.recommended_config).validate()
+    result = build_from_documents(corpus.documents, cfg)
+    routes = set()
+    for a, b in combinations([a.series for a in result.analyses], 2):
+        grown = align_lengths(a, b, cfg.length_ratio_limit)
+        routes.add("equal" if len(a) == len(b) else
+                   "secondary" if any(p.provenance == SECONDARY
+                                      for s in grown for p in s.points) else
+                   "interpolated")
+    path = Path(workdir) / "catalogue.json"
+    save(result.catalogue, path)
+    loaded = load(path)
+    likes = [search_similar(loaded, e.book_id, k=len(loaded.entries)) for e in loaded.entries]
+    outputs = {"matrix": repr(result.matrix.values).encode(),
+               "merge_trace": repr(result.merge_trace).encode(),
+               "catalogue": path.read_bytes(),
+               "like": repr(likes).encode()}
+    return routes, {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()}
+
+
+def test_a_shelf_of_mixed_lengths_is_pinned_on_every_route(tmp_path):
+    routes, digests = promoted_shelf_digests(tmp_path)
+    assert routes == {"equal", "interpolated", "secondary"}
+    assert digests == PROMOTED_SHELF_DIGESTS

@@ -8,9 +8,8 @@ from arcindex.config import PipelineConfig
 from arcindex.errors import DegenerateSeries, FormatError, TooFewPivots
 from arcindex.pivots import PivotPoint
 from arcindex.series import (INTERPOLATED, PRIMARY, SECONDARY, SentimentSeries,
-                             SeriesPoint, _insert_midpoint, align_lengths,
-                             build_series, export_series_csv, read_series_csv,
-                             resample_secondary)
+                             SeriesPoint, _grow, align_lengths, build_series,
+                             export_series_csv, read_series_csv)
 from oracle_reference import ref_resample_secondary
 
 RATIO = PipelineConfig().length_ratio_limit
@@ -31,7 +30,7 @@ def _series(book_id, positions, values, provenance=None):
 def test_build_series_orders_points_by_position():
     pivots = [_pivot(2, 0.2, 0.6), _pivot(5, 0.5, 0.8), _pivot(9, 0.9, 0.3)]
     s = build_series("bk", pivots)
-    assert s.positions() == [0.2, 0.5, 0.9]
+    assert [p.position for p in s.points] == [0.2, 0.5, 0.9]
     assert s.values() == [0.6, 0.8, 0.3]
     assert all(p.provenance == PRIMARY for p in s.points)
 
@@ -116,26 +115,24 @@ def test_random_pairs_align_without_touching_originals():
         added = [p for p in rb.points if p.provenance != PRIMARY]
         assert len(added) == n_long - n_short
         assert all(p.provenance == INTERPOLATED for p in added)
-        pos = rb.positions()
+        pos = [p.position for p in rb.points]
         assert pos == sorted(pos)
 
 
-def test_large_deficit_routes_through_secondary_resampling(monkeypatch):
-    import arcindex.series as series_mod
-
-    calls = []
-    original = series_mod.resample_secondary
-
-    def spy(series, deficit):
-        calls.append(deficit)
-        return original(series, deficit)
-
-    monkeypatch.setattr(series_mod, "resample_secondary", spy)
+def test_large_deficit_routes_through_secondary_resampling():
     a = _series("a", [i / 9 for i in range(10)], [0.5] * 10)
     b = _series("b", [0.0, 0.4, 1.0], [0.2, 0.9, 0.3])
+    b.context = [(0.7, 0.8), (0.2, 0.6), (0.9, 0.4), (0.55, 0.5)]
+    blocks = {position for position, _ in b.context}
+    # 7 of 10 points missing is above the ratio: context blocks are promoted.
     ra, rb = align_lengths(a, b, RATIO)
-    assert calls == [7]
     assert len(ra) == len(rb) == 10
+    secondary = [p.position for p in rb.points if p.provenance == SECONDARY]
+    assert secondary and set(secondary) <= blocks
+    # Within the ratio the same series only gains midpoints.
+    _, rb = align_lengths(a, b, 0.8)
+    assert len(rb) == 10
+    assert {p.provenance for p in rb.points} == {PRIMARY, INTERPOLATED}
 
 
 def _ranked(blocks):
@@ -151,8 +148,8 @@ def test_secondary_points_come_from_interacting_blocks():
         context=_ranked(blocks),
     )
     assert s.context == [(0.2, 0.8), (0.3, 0.4)]
-    grown = resample_secondary(s, deficit=1)
-    added = [p for p in grown.points if p.provenance == SECONDARY]
+    grown = _grow(s.points, len(s) + 1, s.context)
+    added = [p for p in grown if p.provenance == SECONDARY]
     assert len(added) == 1
     # the interacting block with the highest smoothed value wins
     assert added[0].position == 0.2
@@ -167,10 +164,10 @@ def test_secondary_resampling_falls_back_to_midpoints():
         points=[SeriesPoint(0.0, 0.2), SeriesPoint(1.0, 0.8)],
         context=[],
     )
-    grown = resample_secondary(s, deficit=1)
+    grown = _grow(s.points, len(s) + 1, s.context)
     assert len(grown) == 3
-    assert grown.points[1].provenance == INTERPOLATED
-    assert grown.points[1].position == 0.5
+    assert grown[1].provenance == INTERPOLATED
+    assert grown[1].position == 0.5
 
 
 @st.composite
@@ -215,21 +212,15 @@ def test_ranked_context_resamples_like_the_full_block_reference(case, deficit):
     points, blocks = case
     series = SentimentSeries(book_id="bk", points=[SeriesPoint(*p) for p in points],
                              context=_ranked(blocks))
-    grown = resample_secondary(series, deficit)
-    assert [(p.position, p.value, p.provenance) for p in grown.points] == \
+    grown = _grow(series.points, len(series) + deficit, series.context)
+    assert [(p.position, p.value, p.provenance) for p in grown] == \
         ref_resample_secondary(points, blocks, deficit)
 
 
 def _fresh_growth(shorter, target, ratio_limit):
-    """What alignment grows, computed on a copy that has never been aligned."""
-    copy = SentimentSeries(book_id=shorter.book_id, points=list(shorter.points),
-                           context=shorter.context)
-    if (target - len(copy)) / target > ratio_limit:
-        copy = resample_secondary(copy, deficit=target - len(copy))
-    points = list(copy.points)
-    while len(points) < target:
-        points = _insert_midpoint(points)
-    return points
+    """What alignment grows, computed without the memo."""
+    promoted = (target - len(shorter)) / target > ratio_limit
+    return _grow(shorter.points, target, shorter.context if promoted else ())
 
 
 @settings(max_examples=300, deadline=None)
