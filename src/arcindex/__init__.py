@@ -9,8 +9,8 @@ nearest-cluster queries from a persisted catalogue.
 
 from .baselines import (AgreementReport, agreement, baseline1_vectors,
                         baseline2_vectors, cosine, similarity_matrix_from_vectors)
-from .catalogue import (FORMAT_VERSION, Catalogue, CatalogueEntry, IndexCluster,
-                        build_catalogue, load, nearest_cluster, save, search_similar)
+from .catalogue import (FORMAT_VERSION, Catalogue, CatalogueEntry, build_catalogue,
+                        load, nearest_cluster, save, search_similar)
 from .characters import (CharacterProfile, CoOccurrenceEdge, co_occurrence,
                          extract_characters, select_core, select_prime)
 from .clustering import (Cluster, cluster_matrix, cluster_report, cluster_series,

@@ -13,9 +13,9 @@ points are stored without provenance.
 :class:`PipelineConfig`, and every series is checked as a series CSV
 is (finite, non-negative values, strictly increasing positions, at
 least 2 points). Book and cluster ids, titles and authors must be
-strings (an author may be null), ids unique, and each cluster's
-members exactly the entries that name it. Anything else is a
-``FormatError`` naming the file.
+strings (an author may be null), ids unique, each distance a finite
+number, and each cluster's members exactly the entries that name it.
+Anything else is a ``FormatError`` naming the file.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from math import isfinite
 from pathlib import Path
 
+from .clustering import Cluster
 from .config import PipelineConfig
 from .errors import ConfigError, EmptyCatalogue, FormatError, UnknownBook, VersionError
 from .ingest import _not_utf8
@@ -52,13 +53,6 @@ class CatalogueEntry:
 
 
 @dataclass
-class IndexCluster:
-    cluster_id: str
-    members: list
-    representative: SentimentSeries
-
-
-@dataclass
 class Catalogue:
     format_version: str
     config: PipelineConfig
@@ -71,7 +65,7 @@ class Catalogue:
                 return e
         raise UnknownBook(book_id)
 
-    def cluster(self, cluster_id) -> IndexCluster:
+    def cluster(self, cluster_id) -> Cluster:
         for c in self.clusters:
             if c.cluster_id == cluster_id:
                 return c
@@ -93,12 +87,10 @@ def build_catalogue(clusters, series_by_id: dict, cfg: PipelineConfig,
     entries = []
     for cluster in sorted(clusters, key=lambda c: str(c.cluster_id)):
         cid = str(cluster.cluster_id)
+        # Name every representative as load does, so that load(save(c)) == c
+        # holds for a singleton too, whose representative is its book's series.
         rep = SentimentSeries(book_id=f"cluster:{cid}", points=cluster.representative.points)
-        index_clusters.append(IndexCluster(
-            cluster_id=cid,
-            members=sorted(str(m) for m in cluster.members),
-            representative=rep,
-        ))
+        index_clusters.append(Cluster(cid, sorted(str(m) for m in cluster.members), rep))
         cluster_entries = []
         for member in cluster.members:
             series = series_by_id[member]
@@ -187,7 +179,9 @@ def load(path) -> Catalogue:
                           offset=exc.pos) from exc
     if not isinstance(payload, dict) or "format_version" not in payload:
         raise FormatError(f"{path}: not a catalogue file (no format_version)")
-    version = str(payload["format_version"])
+    version = payload["format_version"]
+    if not isinstance(version, str):
+        raise FormatError(f"{path}: format_version {version!r} is not a string")
     major = version.split(".", 1)[0]
     if major != FORMAT_VERSION.split(".", 1)[0]:
         raise VersionError(f"{path}: format version {version} not readable "
@@ -206,12 +200,8 @@ def load(path) -> Catalogue:
             if not isinstance(members, list):
                 raise ValueError(f"members of cluster {cluster_id!r} are not a list")
             named[cluster_id] = set()
-            clusters.append(IndexCluster(
-                cluster_id=cluster_id,
-                members=members,
-                representative=_series_from_payload(f"cluster:{cluster_id}",
-                                                    c["representative"]),
-            ))
+            clusters.append(Cluster(cluster_id, members, _series_from_payload(
+                f"cluster:{cluster_id}", c["representative"])))
         entries = []
         book_ids = set()
         for e in payload["entries"]:
@@ -228,7 +218,9 @@ def load(path) -> Catalogue:
                 raise ValueError(f"entry {book_id!r} names no cluster {cluster_id!r}")
             book_ids.add(book_id)
             named[cluster_id].add(book_id)
-            distance = float(e["distance"])
+            distance = e["distance"]
+            if isinstance(distance, bool) or not isinstance(distance, (int, float)):
+                raise ValueError(f"distance of {book_id!r} is not a number")
             if not isfinite(distance):
                 raise ValueError(f"non-finite distance of {book_id!r}")
             entries.append(CatalogueEntry(
@@ -245,7 +237,7 @@ def load(path) -> Catalogue:
             if len(c.members) != len(ids) or set(c.members) != ids:
                 raise ValueError(f"members of cluster {c.cluster_id!r} are not "
                                  "the entries that name it")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"{path}: malformed catalogue structure: {exc}") from exc
     return Catalogue(format_version=version, config=config,
                      clusters=clusters, entries=entries)

@@ -295,7 +295,7 @@ def _cmd_cluster(args, cfg):
     docs, aliases, _ = _load_input(args.input)
     result = build_from_documents(docs, cfg, aliases=aliases)
     clusters = result.clusters
-    payload = cluster_report(clusters, result.dynamic_threshold)
+    payload = cluster_report(clusters, result.dynamic_threshold, result.merge_trace)
     lines = [f"threshold = {result.dynamic_threshold:.6f}",
              "partition: " + _format_partition([c.members for c in clusters])]
     _emit(args, payload, lines)

@@ -39,8 +39,7 @@ __all__ = [
 class Cluster:
     cluster_id: object
     members: list                      # book ids, sorted
-    representative: SentimentSeries | None
-    merge_trace: list                  # (left_id, right_id, similarity)
+    representative: SentimentSeries
 
 
 def resolve_threshold(matrix: SimilarityMatrix, cfg: PipelineConfig) -> float:
@@ -60,12 +59,14 @@ def resolve_threshold(matrix: SimilarityMatrix, cfg: PipelineConfig) -> float:
     return min(max(value, 1e-9), 1.0 - 1e-9)
 
 
-def _merge_loop(ids, similarity_of, on_merge, dt: float):
+def _merge_loop(members: dict, similarity_of, on_merge, dt: float):
     """Shared agglomeration: merge the argmax pair while above dt.
 
-    ``similarity_of(a, b)`` scores two live cluster ids; ``on_merge(a,
-    b, sim)`` folds b's state into a (a < b), given the pair's
-    similarity. Returns (live ids, trace).
+    ``members`` maps each cluster id to its sorted member ids and is
+    updated in place: merging b into a (a < b) moves b's members into a
+    and drops b, then ``on_merge(a, b)`` updates the caller's own state.
+    ``similarity_of(a, b)`` scores two live cluster ids. Returns the
+    trace; ``members`` is left holding the final clusters.
 
     Every live pair with sim > dt has one valid heap entry ``(-sim, a,
     b, stamp_a, stamp_b)`` with a < b; pairs at or below dt never merge,
@@ -74,10 +75,10 @@ def _merge_loop(ids, similarity_of, on_merge, dt: float):
     a retired id or an old stamp are dropped when popped. The loop ends
     when the heap is empty.
     """
-    live = sorted(ids)
-    stamp = dict.fromkeys(live, 0)
+    ids = sorted(members)
+    stamp = dict.fromkeys(ids, 0)
     heap = [(-sim, a, b, 0, 0)
-            for i, a in enumerate(live) for b in live[i + 1:]
+            for i, a in enumerate(ids) for b in ids[i + 1:]
             if (sim := similarity_of(a, b)) > dt]
     heapq.heapify(heap)
     trace = []
@@ -85,13 +86,12 @@ def _merge_loop(ids, similarity_of, on_merge, dt: float):
         neg_sim, a, b, stamp_a, stamp_b = heapq.heappop(heap)
         if stamp.get(a) != stamp_a or stamp.get(b) != stamp_b:
             continue
-        best_sim = -neg_sim
-        trace.append((a, b, best_sim))
-        on_merge(a, b, best_sim)
-        live.remove(b)
+        trace.append((a, b, -neg_sim))
+        members[a] = sorted(members[a] + members.pop(b))
+        on_merge(a, b)
         del stamp[b]
         stamp[a] += 1
-        for other in live:
+        for other in members:
             if other != a:
                 # Score with the merged id first, then key the pair by
                 # (min, max): matrix-mode averages sum in argument order.
@@ -102,7 +102,7 @@ def _merge_loop(ids, similarity_of, on_merge, dt: float):
                     heapq.heappush(heap, (-sim, a, other, stamp[a], stamp[other]))
                 else:
                     heapq.heappush(heap, (-sim, other, a, stamp[other], stamp[a]))
-    return live, trace
+    return trace
 
 
 def cluster_matrix(matrix: SimilarityMatrix, dt: float):
@@ -123,13 +123,8 @@ def cluster_matrix(matrix: SimilarityMatrix, dt: float):
                 count += 1
         return total / count
 
-    def on_merge(a, b, _sim):
-        members[a] = sorted(members[a] + members[b])
-        del members[b]
-
-    live, trace = _merge_loop(list(members), similarity_of, on_merge, dt)
-    partition = [members[cid] for cid in live]
-    return partition, trace
+    trace = _merge_loop(members, similarity_of, lambda a, b: None, dt)
+    return [members[c] for c in sorted(members)], trace
 
 
 def _mean_series(cluster_id, member_series, ratio_limit: float) -> SentimentSeries:
@@ -159,6 +154,7 @@ def cluster_series(series_list, cfg: PipelineConfig, matrix: SimilarityMatrix):
     Returns (clusters, resolved_dt, global_trace). The all-pairs matrix
     of the series seeds the initial similarities and the adaptive
     threshold. It must be symmetric, as ``spsi_matrix``'s is bit for bit.
+    A singleton's representative is the book's own series.
     """
     series_by_id = {s.book_id: s for s in series_list}
     if len(series_by_id) != len(series_list):
@@ -167,50 +163,43 @@ def cluster_series(series_list, cfg: PipelineConfig, matrix: SimilarityMatrix):
         raise ValueError("matrix book_ids do not match the series list")
     dt = resolve_threshold(matrix, cfg)
     pos = {book_id: i for i, book_id in enumerate(matrix.book_ids)}
-    state = {
-        s.book_id: Cluster(cluster_id=s.book_id, members=[s.book_id],
-                           representative=s, merge_trace=[])
-        for s in series_list
-    }
+    members = {book_id: [book_id] for book_id in series_by_id}
+    reps = dict(series_by_id)
 
     def similarity_of(a, b):
         # Two singletons read the matrix in place; it is symmetric, so
         # the order of a and b does not matter.
-        if len(state[a].members) == 1 and len(state[b].members) == 1:
+        if len(members[a]) == 1 and len(members[b]) == 1:
             return matrix.values[pos[a]][pos[b]]
-        return score(state[a].representative, state[b].representative,
-                     cfg.length_ratio_limit)
+        return score(reps[a], reps[b], cfg.length_ratio_limit)
 
-    def on_merge(a, b, sim):
-        ca, cb = state[a], state[b]
-        members = sorted(ca.members + cb.members)
-        rep = _mean_series(a, [series_by_id[m] for m in members], cfg.length_ratio_limit)
-        state[a] = Cluster(
-            cluster_id=a,
-            members=members,
-            representative=rep,
-            merge_trace=ca.merge_trace + cb.merge_trace + [(a, b, sim)],
-        )
-        del state[b]
+    def on_merge(a, b):
+        reps[a] = _mean_series(a, [series_by_id[m] for m in members[a]],
+                               cfg.length_ratio_limit)
+        del reps[b]
 
-    live, trace = _merge_loop(list(state), similarity_of, on_merge, dt)
-    clusters = [state[cid] for cid in sorted(live)]
+    trace = _merge_loop(members, similarity_of, on_merge, dt)
+    clusters = [Cluster(cid, members[cid], reps[cid]) for cid in sorted(members)]
     return clusters, dt, trace
 
 
-def cluster_report(clusters, dt: float) -> dict:
-    """JSON-ready summary of a clustering outcome."""
+def cluster_report(clusters, dt: float, trace) -> dict:
+    """JSON-ready summary of a clustering outcome.
+
+    Each cluster's trace is its merges from the global ``trace``: the
+    survivor's, then the absorbed cluster's, then the merge itself.
+    """
+    own = {}
+    for a, b, sim in trace:
+        own[a] = own.pop(a, []) + own.pop(b, []) + [[a, b, sim]]
     return {
         "dynamic_threshold": dt,
         "clusters": [
             {
                 "id": c.cluster_id,
                 "members": list(c.members),
-                "representative": (
-                    [[p.position, p.value] for p in c.representative.points]
-                    if c.representative is not None else None
-                ),
-                "trace": [list(t) for t in c.merge_trace],
+                "representative": [[p.position, p.value] for p in c.representative.points],
+                "trace": own.get(c.cluster_id, []),
             }
             for c in clusters
         ],

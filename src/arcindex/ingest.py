@@ -126,8 +126,9 @@ def load_cmu_summaries(path):
 
     Columns: wikipedia_id, freebase_id, title, author, pub_date,
     genres-as-JSON-object, plot_summary. Returns ``(documents, skipped)``
-    where malformed rows (short rows, bad genre JSON, duplicate or missing
-    ids) are skipped and counted rather than raised.
+    where malformed rows (short rows, bad genre JSON, genre names that are
+    not strings, duplicate or missing ids) are skipped and counted rather
+    than raised.
     """
     documents = []
     skipped = 0
@@ -152,7 +153,8 @@ def load_cmu_summaries(path):
             except json.JSONDecodeError:
                 skipped += 1
                 continue
-            if not isinstance(genre_map, dict):
+            if not (isinstance(genre_map, dict)
+                    and all(isinstance(g, str) for g in genre_map.values())):
                 skipped += 1
                 continue
             genres = list(genre_map.values())
@@ -259,6 +261,26 @@ def _tokens_from_payload(columns) -> Tokens:
                   list(map(bool, starts)))
 
 
+def _document_from_payload(d) -> BookDocument:
+    """One stored document, its fields checked once (never per token)."""
+    book_id, title, author = d["book_id"], d["title"], d.get("author")
+    metadata = d.get("metadata", {})
+    if not (isinstance(book_id, str) and isinstance(title, str)
+            and (author is None or isinstance(author, str))):
+        raise ValueError(f"document {book_id!r}: book_id and title must be strings, "
+                         "author a string or null")
+    if not isinstance(metadata, dict):
+        raise ValueError(f"metadata of {book_id!r} is not an object")
+    genres = metadata.get("genres", [])
+    if not (isinstance(genres, list) and all(isinstance(g, str) for g in genres)):
+        raise ValueError(f"genres of {book_id!r} are not a list of strings")
+    if not isinstance(metadata.get("summary", ""), str):
+        raise ValueError(f"summary of {book_id!r} is not a string")
+    return BookDocument(book_id=book_id, title=title, author=author,
+                        language=d.get("language", "en"), metadata=metadata,
+                        tokens=_tokens_from_payload(d["tokens"]))
+
+
 def load_store(path) -> list:
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -273,19 +295,15 @@ def load_store(path) -> list:
         raise FormatError(f"{path}: store version {payload.get('version')!r} is not "
                           f"{STORE_VERSION!r}; re-run arcindex ingest on the source text")
     try:
-        return [
-            BookDocument(
-                book_id=d["book_id"],
-                title=d["title"],
-                author=d.get("author"),
-                language=d.get("language", "en"),
-                metadata=d.get("metadata") or {},
-                tokens=_tokens_from_payload(d["tokens"]),
-            )
-            for d in payload["documents"]
-        ]
+        docs = [_document_from_payload(d) for d in payload["documents"]]
+        seen = set()
+        for d in docs:
+            if d.book_id in seen:
+                raise ValueError(f"duplicate book_id {d.book_id!r}")
+            seen.add(d.book_id)
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: malformed document store: {exc}")
+    return docs
 
 
 class AliasTable:

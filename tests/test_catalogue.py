@@ -28,9 +28,9 @@ def _toy_catalogue():
     s_c = _series("book-c", [0.9, 0.1, 0.9])
     clusters = [
         Cluster(cluster_id="book-a", members=["book-a", "book-b"],
-                representative=_series("rep", [0.21, 0.41, 0.61]), merge_trace=[]),
+                representative=_series("rep", [0.21, 0.41, 0.61])),
         Cluster(cluster_id="book-c", members=["book-c"],
-                representative=_series("rep2", [0.9, 0.1, 0.9]), merge_trace=[]),
+                representative=_series("rep2", [0.9, 0.1, 0.9])),
     ]
     series_by_id = {"book-a": s_a, "book-b": s_b, "book-c": s_c}
     meta = {
@@ -87,7 +87,7 @@ def test_second_save_is_byte_identical(tmp_path):
 def test_alignment_memo_leaves_catalogue_bytes_alone(tmp_path):
     def catalogue(series_by_id):
         clusters = [Cluster(cluster_id="book-a", members=sorted(series_by_id),
-                            representative=series_by_id["book-c"], merge_trace=[])]
+                            representative=series_by_id["book-c"])]
         meta = {b: (b.upper(), None) for b in series_by_id}
         return build_catalogue(clusters, series_by_id, PipelineConfig(dt=0.8), meta)
 
@@ -188,6 +188,11 @@ _BAD_SERIES = {
     "duplicate-book-id": (lambda p: p["entries"][1].update(book_id=p["entries"][0]["book_id"]),
                           "duplicate"),
     "duplicate-cluster-id": (lambda p: p["clusters"][1].update(cluster_id="book-a"), "unique"),
+    "string-distance": (lambda p: p["entries"][0].update(distance="0.5"), "distance"),
+    "bool-distance": (lambda p: p["entries"][0].update(distance=True), "distance"),
+    "overflowing-int-distance": (lambda p: p["entries"][0].update(distance=10**400),
+                                 "too large"),
+    "numeric-format-version": (lambda p: p.update(format_version=1), "format_version"),
 }
 
 
@@ -299,8 +304,8 @@ def test_nearest_cluster_tie_takes_smallest_id():
     s_a = _series("a", [0.5, 0.5])
     s_b = _series("b", [0.5, 0.5])
     clusters = [
-        Cluster(cluster_id="a", members=["a"], representative=s_a, merge_trace=[]),
-        Cluster(cluster_id="b", members=["b"], representative=s_b, merge_trace=[]),
+        Cluster(cluster_id="a", members=["a"], representative=s_a),
+        Cluster(cluster_id="b", members=["b"], representative=s_b),
     ]
     cfg = PipelineConfig()
     cat = build_catalogue(clusters, {"a": s_a, "b": s_b}, cfg,

@@ -110,6 +110,24 @@ def test_ingest_of_a_triple_format_store_is_a_data_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["index", "eval"])
+def test_a_store_with_a_malformed_document_is_a_data_error(cli_corpus, tmp_path, capsys,
+                                                            command):
+    store = tmp_path / "store.json"
+    assert main(["ingest", str(cli_corpus), "-o", str(store)]) == 0
+    payload = json.loads(store.read_text(encoding="utf-8"))
+    payload["documents"][0]["book_id"] = 5
+    store.write_text(json.dumps(payload), encoding="utf-8")
+    capsys.readouterr()
+    extra = (["-o", str(tmp_path / "catalogue.json")] if command == "index"
+             else ["--labels", str(cli_corpus / "labels.csv")])
+    assert main([command, str(store)] + extra + SET_BLOCKS) == 2
+    err = capsys.readouterr().err
+    assert str(store) in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "catalogue.json").exists()
+
+
 def test_ingest_reports_skipped_tsv_rows(tmp_path, capsys):
     tsv = tmp_path / "summaries.tsv"
     good = "1\tfb\tTitle\tAuthor\t1900\t{}\tA fine tale about Mira."
@@ -352,10 +370,14 @@ def test_search_rejects_an_overflowing_catalogue_number(cli_corpus, tmp_path, ca
     lambda p: p["entries"][1].update(book_id=p["entries"][0]["book_id"]),
     lambda p: p["config"].update(block_size=120.5),
     lambda p: p["config"].update(prime_max=True),
+    lambda p: p["entries"][0].update(distance="0.5"),
+    lambda p: p["entries"][0].update(distance=True),
+    lambda p: p.update(format_version=1),
 ], ids=["config-not-a-mapping", "unknown-config-key", "ratio-not-a-number",
         "ratio-out-of-range", "swapped-positions", "one-point", "null-title-with-a-tie",
         "members-a-string", "entry-names-no-cluster", "member-without-entry",
-        "duplicate-book-id", "block-size-not-an-int", "prime-max-a-bool"])
+        "duplicate-book-id", "block-size-not-an-int", "prime-max-a-bool",
+        "string-distance", "bool-distance", "numeric-format-version"])
 def test_search_of_a_malformed_catalogue_names_the_file(cli_catalogue, tmp_path, capsys,
                                                          corrupt):
     payload = copy.deepcopy(cli_catalogue)

@@ -136,7 +136,8 @@ def test_series_merge_trace_is_pinned(synth_outcome):
     trace = result.merge_trace
     assert [(a, b, repr(s)) for a, b, s in trace] == SYNTH_MERGE_TRACE
     # Each cluster's own trace holds exactly its merges from the global one.
-    own = sorted(t for c in result.clusters for t in c.merge_trace)
+    report = cluster_report(result.clusters, result.dynamic_threshold, trace)
+    own = sorted(tuple(t) for c in report["clusters"] for t in c["trace"])
     assert own == sorted(trace)
 
 
@@ -199,10 +200,11 @@ def test_cluster_report_shape():
     a = _series("a", [0.2, 0.4, 0.6])
     b = _series("b", [0.4, 0.6, 0.8])
     cfg = PipelineConfig(dt=0.5)
-    clusters, dt, _ = cluster_series([a, b], cfg, spsi_matrix([a, b], RATIO))
-    report = cluster_report(clusters, dt)
+    clusters, dt, trace = cluster_series([a, b], cfg, spsi_matrix([a, b], RATIO))
+    report = cluster_report(clusters, dt, trace)
     assert report["dynamic_threshold"] == 0.5
     assert len(report["clusters"]) == 1
     entry = report["clusters"][0]
     assert entry["members"] == ["a", "b"]
     assert len(entry["representative"]) == 3
+    assert entry["trace"] == [["a", "b", trace[0][2]]]

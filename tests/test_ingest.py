@@ -148,6 +148,17 @@ def test_summary_tsv_skips_and_counts_malformed_rows(tmp_path):
     assert skipped == 4
 
 
+@pytest.mark.parametrize("genres", [{"a": 5}, {"a": "Fiction", "b": None}],
+                         ids=["number", "null"])
+def test_summary_tsv_skips_genre_maps_of_non_strings(tmp_path, genres):
+    path = tmp_path / "summaries.tsv"
+    path.write_text(_tsv_row(1) + "\n" + _tsv_row(2, genres=genres) + "\n",
+                    encoding="utf-8")
+    docs, skipped = load_cmu_summaries(path)
+    assert [d.book_id for d in docs] == ["1001"]
+    assert skipped == 1
+
+
 def test_summary_tsv_empty_genres_give_empty_list(tmp_path):
     row = _tsv_row(1).split("\t")
     row[5] = ""
@@ -271,7 +282,7 @@ METADATA = st.dictionaries(st.text(max_size=8),
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.tuples(st.text(max_size=12), st.text(max_size=12), TEXT,
                           st.one_of(st.none(), st.text(max_size=12)), METADATA),
-                max_size=4))
+                max_size=4, unique_by=lambda book: book[0]))
 def test_store_round_trips_columns_and_metadata(books):
     docs = [BookDocument(book_id=book_id, title=title, tokens=tokenize(text),
                          author=author, metadata=metadata)
@@ -314,3 +325,31 @@ def test_store_rejects_malformed_token_columns(tmp_path, column, damage):
     path.write_text(json.dumps(payload), encoding="utf-8")
     with pytest.raises(FormatError, match="malformed"):
         load_store(path)
+
+
+# Each damage to a stored document and the words its error must contain.
+_BAD_DOCUMENTS = {
+    "null-title": (lambda docs: docs[0].update(title=None), "title"),
+    "numeric-book-id": (lambda docs: docs[0].update(book_id=5), "book_id"),
+    "numeric-author": (lambda docs: docs[0].update(author=7), "author"),
+    "metadata-a-list": (lambda docs: docs[0].update(metadata=[1]), "metadata"),
+    "genres-a-string": (lambda docs: docs[0]["metadata"].update(genres="G"), "genres"),
+    "numeric-genre": (lambda docs: docs[0]["metadata"].update(genres=["G", 5]), "genres"),
+    "numeric-summary": (lambda docs: docs[0]["metadata"].update(summary=5), "summary"),
+    "repeated-document": (lambda docs: docs.append(dict(docs[0])), "duplicate"),
+}
+
+
+@pytest.mark.parametrize("damage", list(_BAD_DOCUMENTS))
+def test_store_rejects_malformed_documents(tmp_path, damage):
+    path = tmp_path / "store.json"
+    save_store([BookDocument(book_id="b1", title="One", tokens=tokenize("More words."),
+                             metadata={"genres": ["G"], "summary": "A tale."}),
+                BookDocument(book_id="b2", title="Two", tokens=tokenize("Here."))], path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    corrupt, words = _BAD_DOCUMENTS[damage]
+    corrupt(payload["documents"])
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(FormatError, match=words) as excinfo:
+        load_store(path)
+    assert str(path) in str(excinfo.value)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import arcindex
 from arcindex.catalogue import load, save, search_similar
 from arcindex.characters import extract_characters
+from arcindex.clustering import cluster_report
 from arcindex.config import PipelineConfig
 from arcindex.errors import CoreExtractionError, FormatError, TooFewPivots
 from arcindex.ingest import (AliasTable, BookDocument, load_default_lexicon, load_store,
@@ -323,6 +324,7 @@ PROMOTED_SHELF_DIGESTS = {
     "merge_trace": "bdc6d2e71431eaf72c57e6ebc5806f30b1c3d962cb236a70c2ec0aa95fb0af73",
     "catalogue": "76ede1daad378cb8f724dd2749a15c879bfc80898ae0374dc7b3b3f70b01178d",
     "like": "7f7ce55b4e6df049f9ddc44615f454cdf3ea05e94d5663c766002516541bd722",
+    "cluster_report": "327488708dade1f6829ee6ddf021c9beae41ec1330a62b8b484c45bb76179ee8",
 }
 
 
@@ -330,8 +332,9 @@ def promoted_shelf_digests(workdir):
     """Index, save, load and search a shelf of 12-, 9-, 7- and 5-point books.
 
     Returns the alignment routes its pairs take and the SHA-256 of the
-    matrix values, the merge trace, the saved catalogue and every like
-    result after load. It needs neither pytest nor hypothesis, so a
+    matrix values, the merge trace, the saved catalogue, every like
+    result after load and the cluster report as ``arcindex cluster
+    --json`` prints it. It needs neither pytest nor hypothesis, so a
     plain script can run it under any Python version.
     """
     templates = []
@@ -358,7 +361,10 @@ def promoted_shelf_digests(workdir):
     outputs = {"matrix": repr(result.matrix.values).encode(),
                "merge_trace": repr(result.merge_trace).encode(),
                "catalogue": path.read_bytes(),
-               "like": repr(likes).encode()}
+               "like": repr(likes).encode(),
+               "cluster_report": json.dumps(
+                   cluster_report(result.clusters, result.dynamic_threshold, result.merge_trace),
+                   indent=2, sort_keys=True).encode()}
     return routes, {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()}
 
 
