@@ -1,21 +1,23 @@
 """The searchable catalogue: cluster index points plus per-book entries.
 
-A catalogue stores each member's analysed series and each cluster
-representative as they are, and every float is written as its
-``repr``, which reads back as the same float. So save/load is lossless,
-repeated saves are byte identical, and a search scores a pair exactly
-as indexing did, except where alignment would promote secondary pivots
-from a book's context, which is not stored. Every stored point is
-primary (members come from pivots, representatives are means), so
-points are stored without provenance.
+Format 2.0 stores what search reads: each cluster's id and
+representative, and each book's id, title, author, cluster id and
+analysed series. ``load`` derives a cluster's members from the entries
+that name it. Every float is written as its ``repr``, which reads back
+as the same float. So save/load is lossless, repeated saves are byte
+identical, and a search scores a pair exactly as indexing did, except
+where alignment would promote secondary pivots from a book's context,
+which is not stored. Every stored point is primary (members come from
+pivots, representatives are means), so points are stored without
+provenance.
 
 ``load`` checks what it reads: the config must be a valid
 :class:`PipelineConfig`, and every series is checked as a series CSV
 is (finite, non-negative values, strictly increasing positions, at
 least 2 points). Book and cluster ids, titles and authors must be
-strings (an author may be null), ids unique, each distance a finite
-number, and each cluster's members exactly the entries that name it.
-Anything else is a ``FormatError`` naming the file.
+strings (an author may be null), ids unique, each entry must name a
+stored cluster and each cluster must be named by an entry. Anything else is a ``FormatError`` naming the file;
+a 1.x catalogue is a ``VersionError``.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass, field
-from math import isfinite
 from pathlib import Path
 
 from .clustering import Cluster
@@ -34,7 +35,7 @@ from .ingest import _not_utf8
 from .series import SentimentSeries, _checked_points
 from .similarity import score
 
-FORMAT_VERSION = "1.0"
+FORMAT_VERSION = "2.0"
 
 __all__ = [
     "CatalogueEntry", "Catalogue", "build_catalogue", "save", "load",
@@ -48,7 +49,6 @@ class CatalogueEntry:
     title: str
     author: str | None
     cluster_id: str
-    distance: float
     series: SentimentSeries
 
 
@@ -79,33 +79,23 @@ def build_catalogue(clusters, series_by_id: dict, cfg: PipelineConfig,
                     book_meta: dict) -> Catalogue:
     """Assemble the index from a clustering outcome.
 
-    ``book_meta`` maps book_id to (title, author). Within a cluster,
-    entries are sorted by distance to the representative, then title.
+    ``book_meta`` maps book_id to (title, author). Clusters are sorted
+    by id, and each cluster's entries by book id, the order ``load``
+    gives its members.
     """
-    ratio_limit = cfg.length_ratio_limit
     index_clusters = []
     entries = []
-    for cluster in sorted(clusters, key=lambda c: str(c.cluster_id)):
-        cid = str(cluster.cluster_id)
+    for cluster in sorted(clusters, key=lambda c: c.cluster_id):
+        cid = cluster.cluster_id
         # Name every representative as load does, so that load(save(c)) == c
         # holds for a singleton too, whose representative is its book's series.
         rep = SentimentSeries(book_id=f"cluster:{cid}", points=cluster.representative.points)
-        index_clusters.append(Cluster(cid, sorted(str(m) for m in cluster.members), rep))
-        cluster_entries = []
-        for member in cluster.members:
-            series = series_by_id[member]
-            distance = 1.0 - score(series, rep, ratio_limit)
-            title, author = book_meta.get(member, (str(member), None))
-            cluster_entries.append(CatalogueEntry(
-                book_id=str(member),
-                title=title,
-                author=author,
-                cluster_id=cid,
-                distance=distance,
-                series=series,
-            ))
-        cluster_entries.sort(key=lambda e: (e.distance, e.title))
-        entries.extend(cluster_entries)
+        members = sorted(cluster.members)
+        index_clusters.append(Cluster(cid, members, rep))
+        for member in members:
+            title, author = book_meta.get(member, (member, None))
+            entries.append(CatalogueEntry(book_id=member, title=title, author=author,
+                                          cluster_id=cid, series=series_by_id[member]))
     return Catalogue(format_version=FORMAT_VERSION, config=cfg,
                      clusters=index_clusters, entries=entries)
 
@@ -130,7 +120,6 @@ def save(catalogue: Catalogue, path) -> None:
         "clusters": [
             {
                 "cluster_id": c.cluster_id,
-                "members": c.members,
                 "representative": _series_payload(c.representative),
             }
             for c in catalogue.clusters
@@ -141,7 +130,6 @@ def save(catalogue: Catalogue, path) -> None:
                 "title": e.title,
                 "author": e.author,
                 "cluster_id": e.cluster_id,
-                "distance": e.distance,
                 "series": _series_payload(e.series),
             }
             for e in catalogue.entries
@@ -184,24 +172,22 @@ def load(path) -> Catalogue:
         raise FormatError(f"{path}: format_version {version!r} is not a string")
     major = version.split(".", 1)[0]
     if major != FORMAT_VERSION.split(".", 1)[0]:
-        raise VersionError(f"{path}: format version {version} not readable "
-                           f"by this build (expects {FORMAT_VERSION})")
+        raise VersionError(f"{path}: format version {version} not readable by this "
+                           f"build (expects {FORMAT_VERSION}); re-run `arcindex index` "
+                           "to rebuild the catalogue")
     try:
         config = PipelineConfig(**payload.get("config", {})).validate()
     except (TypeError, ConfigError) as exc:
         raise FormatError(f"{path}: bad catalogue config: {exc}") from None
     try:
-        clusters = []
-        named = {}          # cluster id -> ids of the entries that name it
+        reps = {}
         for c in payload["clusters"]:
-            cluster_id, members = c["cluster_id"], c["members"]
-            if not isinstance(cluster_id, str) or cluster_id in named:
+            cluster_id = c["cluster_id"]
+            if not isinstance(cluster_id, str) or cluster_id in reps:
                 raise ValueError(f"cluster id {cluster_id!r} is not a unique string")
-            if not isinstance(members, list):
-                raise ValueError(f"members of cluster {cluster_id!r} are not a list")
-            named[cluster_id] = set()
-            clusters.append(Cluster(cluster_id, members, _series_from_payload(
-                f"cluster:{cluster_id}", c["representative"])))
+            reps[cluster_id] = _series_from_payload(f"cluster:{cluster_id}",
+                                                    c["representative"])
+        members = {cluster_id: [] for cluster_id in reps}   # ids of the entries naming it
         entries = []
         book_ids = set()
         for e in payload["entries"]:
@@ -214,31 +200,19 @@ def load(path) -> Catalogue:
                                  "must be strings, author a string or null")
             if book_id in book_ids:
                 raise ValueError(f"duplicate book_id {book_id!r}")
-            if cluster_id not in named:
+            if cluster_id not in members:
                 raise ValueError(f"entry {book_id!r} names no cluster {cluster_id!r}")
             book_ids.add(book_id)
-            named[cluster_id].add(book_id)
-            distance = e["distance"]
-            if isinstance(distance, bool) or not isinstance(distance, (int, float)):
-                raise ValueError(f"distance of {book_id!r} is not a number")
-            if not isfinite(distance):
-                raise ValueError(f"non-finite distance of {book_id!r}")
-            entries.append(CatalogueEntry(
-                book_id=book_id,
-                title=title,
-                author=author,
-                cluster_id=cluster_id,
-                distance=distance,
-                series=_series_from_payload(book_id, e["series"]),
-            ))
-        # Members equal to these string ids need no type check of their own.
-        for c in clusters:
-            ids = named[c.cluster_id]
-            if len(c.members) != len(ids) or set(c.members) != ids:
-                raise ValueError(f"members of cluster {c.cluster_id!r} are not "
-                                 "the entries that name it")
+            members[cluster_id].append(book_id)
+            entries.append(CatalogueEntry(book_id=book_id, title=title, author=author,
+                                          cluster_id=cluster_id,
+                                          series=_series_from_payload(book_id, e["series"])))
+        for cluster_id, ids in members.items():
+            if not ids:
+                raise ValueError(f"no entry names cluster {cluster_id!r}")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"{path}: malformed catalogue structure: {exc}") from exc
+    clusters = [Cluster(cid, sorted(members[cid]), rep) for cid, rep in reps.items()]
     return Catalogue(format_version=version, config=config,
                      clusters=clusters, entries=entries)
 

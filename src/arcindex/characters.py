@@ -121,6 +121,7 @@ def select_prime(profiles, prime_max: int, min_mentions: int) -> list:
 
 
 def _pair_window_count(positions_a, positions_b, window: int) -> int:
+    """Mention pairs at most ``window`` apart; symmetric in a and b."""
     count = 0
     for pos in positions_a:
         lo = bisect_left(positions_b, pos - window)
@@ -138,12 +139,7 @@ def co_occurrence(primes, window: int) -> list:
     raw = {}
     for a, b in combinations(primes, 2):
         key = tuple(sorted((a.canonical_name, b.canonical_name)))
-        if key[0] == a.canonical_name:
-            first, second = a, b
-        else:
-            first, second = b, a
-        raw[key] = _pair_window_count(first.mention_positions,
-                                      second.mention_positions, window)
+        raw[key] = _pair_window_count(a.mention_positions, b.mention_positions, window)
     max_raw = max(raw.values(), default=0)
     edges = []
     for key in sorted(raw):

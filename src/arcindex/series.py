@@ -170,18 +170,19 @@ def _checked_points(rows) -> list:
     """Primary SeriesPoints from mappings with a ``position`` and a ``value``.
 
     Raises ValueError, naming the point, unless every position and value
-    is a finite number, no value is negative, positions strictly
-    increase, and there are at least 2 points. The catalogue's saved
-    points are such mappings.
+    is a finite number (an ``int`` or a ``float``, not a ``bool``), no
+    value is negative, positions strictly increase, and there are at
+    least 2 points. The catalogue's saved points are such mappings.
     """
     points = []
     last = -math.inf
     for row in rows:
-        try:
-            position = float(row["position"])
-            value = float(row["value"])
-        except ValueError:
-            raise ValueError(f"point {len(points) + 1}: non-numeric position/value") from None
+        position, value = row["position"], row["value"]
+        # Exact type tests: they turn a bool away, which isinstance would take.
+        if type(position) is not float or type(value) is not float:
+            if type(position) not in (int, float) or type(value) not in (int, float):
+                raise ValueError(f"point {len(points) + 1}: non-numeric position/value")
+            position, value = float(position), float(value)
         if not (math.isfinite(position) and math.isfinite(value)):
             raise ValueError(f"point {len(points) + 1}: non-finite position/value")
         if value < 0.0:
@@ -211,7 +212,10 @@ def read_series_csv(path, book_id: str | None = None) -> SentimentSeries:
         provenance = row[2].strip() if len(row) == 3 else PRIMARY
         if provenance not in _PROVENANCE:
             raise FormatError(f"{path}: row {row_no}: unknown provenance {provenance!r}")
-        rows.append({"position": row[0], "value": row[1]})
+        try:
+            rows.append({"position": float(row[0]), "value": float(row[1])})
+        except ValueError:
+            raise FormatError(f"{path}: row {row_no}: non-numeric position/value") from None
         provenances.append(provenance)
     try:
         points = _checked_points(rows)

@@ -42,13 +42,6 @@ def _toy_catalogue():
     return build_catalogue(clusters, series_by_id, cfg, meta)
 
 
-def test_entries_sorted_by_distance_then_title():
-    cat = _toy_catalogue()
-    first_cluster = [e for e in cat.entries if e.cluster_id == "book-a"]
-    distances = [e.distance for e in first_cluster]
-    assert distances == sorted(distances)
-
-
 def test_entry_lookup_and_membership():
     cat = _toy_catalogue()
     assert "book-b" in cat
@@ -69,10 +62,30 @@ def test_round_trip_preserves_everything(tmp_path):
         assert c1.members == c2.members
         assert [(p.position, p.value) for p in c1.representative.points] == \
                [(p.position, p.value) for p in c2.representative.points]
-    assert [(e.book_id, e.title, e.author, e.cluster_id, e.distance)
-            for e in cat.entries] == \
-           [(e.book_id, e.title, e.author, e.cluster_id, e.distance)
-            for e in back.entries]
+    assert [(e.book_id, e.title, e.author, e.cluster_id) for e in cat.entries] == \
+           [(e.book_id, e.title, e.author, e.cluster_id) for e in back.entries]
+
+
+def test_saved_catalogue_stores_what_search_reads(tmp_path):
+    path = tmp_path / "catalogue.json"
+    save(_toy_catalogue(), path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    assert {key for c in payload["clusters"] for key in c} == {"cluster_id", "representative"}
+    assert {key for e in payload["entries"] for key in e} == \
+           {"book_id", "title", "author", "cluster_id", "series"}
+
+
+def test_load_derives_members_from_the_entries(tmp_path):
+    cat = _toy_catalogue()
+    path = tmp_path / "catalogue.json"
+    save(cat, path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload["entries"].reverse()
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    back = load(path)
+    assert [(c.cluster_id, c.members) for c in back.clusters] == \
+           [("book-a", ["book-a", "book-b"]), ("book-c", ["book-c"])]
+    assert back.clusters == cat.clusters
 
 
 def test_second_save_is_byte_identical(tmp_path):
@@ -117,10 +130,21 @@ def test_load_rejects_major_version_bump(tmp_path):
     path = tmp_path / "catalogue.json"
     save(cat, path)
     payload = json.loads(path.read_text(encoding="utf-8"))
-    payload["format_version"] = "2.0"
+    payload["format_version"] = "3.0"
     path.write_text(json.dumps(payload), encoding="utf-8")
     with pytest.raises(VersionError):
         load(path)
+
+
+def test_load_rejects_a_format_1_catalogue(tmp_path):
+    path = tmp_path / "catalogue.json"
+    save(_toy_catalogue(), path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload["format_version"] = "1.0"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(VersionError, match="arcindex index") as excinfo:
+        load(path)
+    assert str(path) in str(excinfo.value)
 
 
 def test_load_accepts_minor_version_bump(tmp_path):
@@ -128,9 +152,9 @@ def test_load_accepts_minor_version_bump(tmp_path):
     path = tmp_path / "catalogue.json"
     save(cat, path)
     payload = json.loads(path.read_text(encoding="utf-8"))
-    payload["format_version"] = "1.9"
+    payload["format_version"] = "2.9"
     path.write_text(json.dumps(payload), encoding="utf-8")
-    assert load(path).format_version == "1.9"
+    assert load(path).format_version == "2.9"
 
 
 def test_load_reports_corruption_with_offset(tmp_path):
@@ -153,14 +177,12 @@ def test_load_rejects_non_finite_numbers(tmp_path, constant):
         load(path)
 
 
-@pytest.mark.parametrize("where", ["position", "value", "distance", "representative"])
+@pytest.mark.parametrize("where", ["position", "value", "representative"])
 def test_load_rejects_overflowing_numbers(tmp_path, where):
     path = tmp_path / "catalogue.json"
     save(_toy_catalogue(), path)
     payload = json.loads(path.read_text(encoding="utf-8"))
-    if where == "distance":
-        payload["entries"][0]["distance"] = 12345.678
-    elif where == "representative":
+    if where == "representative":
         payload["clusters"][0]["representative"][0]["value"] = 12345.678
     else:
         payload["entries"][0]["series"][0][where] = 12345.678
@@ -180,18 +202,20 @@ _BAD_SERIES = {
                   "at least 2"),
     "null-title": (lambda p: p["entries"][0].update(title=None), "title"),
     "numeric-author": (lambda p: p["entries"][0].update(author=7), "author"),
-    "members-a-string": (lambda p: p["clusters"][1].update(members="abc"), "not a list"),
     "entry-names-no-cluster": (lambda p: p["entries"][0].update(cluster_id="nowhere"),
                                "no cluster"),
-    "member-without-entry": (lambda p: p["clusters"][1]["members"].append("book-z"),
-                             "not the entries"),
+    "cluster-without-entries": (lambda p: p["clusters"].append(
+        {"cluster_id": "ghost", "representative": p["clusters"][1]["representative"]}),
+        "no entry names cluster"),
     "duplicate-book-id": (lambda p: p["entries"][1].update(book_id=p["entries"][0]["book_id"]),
                           "duplicate"),
     "duplicate-cluster-id": (lambda p: p["clusters"][1].update(cluster_id="book-a"), "unique"),
-    "string-distance": (lambda p: p["entries"][0].update(distance="0.5"), "distance"),
-    "bool-distance": (lambda p: p["entries"][0].update(distance=True), "distance"),
-    "overflowing-int-distance": (lambda p: p["entries"][0].update(distance=10**400),
-                                 "too large"),
+    "string-value": (lambda p: p["entries"][0]["series"][1].update(value="0.2"),
+                     "non-numeric"),
+    "bool-position": (lambda p: p["clusters"][0]["representative"][0].update(position=True),
+                      "non-numeric"),
+    "overflowing-int-value": (lambda p: p["entries"][0]["series"][1].update(value=10**400),
+                              "too large"),
     "numeric-format-version": (lambda p: p.update(format_version=1), "format_version"),
 }
 
@@ -322,12 +346,6 @@ def test_nearest_cluster_requires_clusters():
         nearest_cluster(cat, _series("probe", [0.5, 0.5]))
 
 
-def test_distance_complements_similarity_to_representative():
-    cat = _toy_catalogue()
-    entry = cat.entry("book-c")
-    assert entry.distance == pytest.approx(0.0, abs=1e-9)
-
-
 def _mean_points(long, short, ratio_limit):
     _, grown = align_lengths(long, short, ratio_limit)
     return [((a.position + b.position) / 2, (a.value + b.value) / 2)
@@ -399,13 +417,11 @@ def test_search_after_load_scores_pairs_as_the_index_did(tmp_path_factory, shelf
     clusters, _, _ = cluster_series(shelf, cfg, matrix)
     by_id = {s.book_id: s for s in shelf}
     built = build_catalogue(clusters, by_id, cfg, {})
-    for e in built.entries:
-        rep = built.cluster(e.cluster_id).representative
-        assert e.distance == 1.0 - score(by_id[e.book_id], rep, ratio)
     path = tmp_path_factory.mktemp("cat") / "cat.json"
     save(built, path)
     loaded = load(path)
-    assert [e.distance for e in loaded.entries] == [e.distance for e in built.entries]
+    assert [(c.cluster_id, c.members) for c in loaded.clusters] == \
+           [(c.cluster_id, c.members) for c in built.clusters]
     index = {b: i for i, b in enumerate(matrix.book_ids)}
     routes = set()
     for query in matrix.book_ids:

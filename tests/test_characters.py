@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arcindex.characters import (co_occurrence, extract_characters, select_core,
-                                 select_prime)
+from arcindex.characters import (_pair_window_count, co_occurrence, extract_characters,
+                                 select_core, select_prime)
 from arcindex.errors import CoreExtractionError
 from arcindex.ingest import AliasTable, BookDocument, Tokens, tokenize
 from oracle_reference import ref_extract_characters
@@ -93,6 +93,15 @@ def test_co_occurrence_counts_windowed_pairs():
     # qualifying pairs: (10,30) and (150,199); the cross pairs are too far
     assert edge.raw_weight == 2
     assert edge.normalized_weight == 1.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.lists(st.integers(0, 400), unique=True).map(sorted),
+       b=st.lists(st.integers(0, 400), unique=True).map(sorted),
+       window=st.integers(0, 60))
+def test_pair_window_count_is_symmetric(a, b, window):
+    # co_occurrence counts each pair in either argument order.
+    assert _pair_window_count(a, b, window) == _pair_window_count(b, a, window)
 
 
 def test_core_set_keeps_strongly_linked_primes():

@@ -364,20 +364,19 @@ def test_search_rejects_an_overflowing_catalogue_number(cli_corpus, tmp_path, ca
     lambda p: p["entries"][0]["series"].__delitem__(slice(1, None)),
     # The second entry ties with the first, so search would sort by title.
     lambda p: p["entries"][0].update(title=None, series=p["entries"][1]["series"]),
-    lambda p: p["clusters"][0].update(members="abc"),
     lambda p: p["entries"][0].update(cluster_id="nowhere"),
-    lambda p: p["clusters"][0]["members"].append("nobody"),
     lambda p: p["entries"][1].update(book_id=p["entries"][0]["book_id"]),
     lambda p: p["config"].update(block_size=120.5),
     lambda p: p["config"].update(prime_max=True),
-    lambda p: p["entries"][0].update(distance="0.5"),
-    lambda p: p["entries"][0].update(distance=True),
+    lambda p: p["entries"][0]["series"][1].update(value="0.2"),
+    lambda p: p["clusters"][0]["representative"][0].update(position=True),
     lambda p: p.update(format_version=1),
+    lambda p: p.update(format_version="1.0"),
 ], ids=["config-not-a-mapping", "unknown-config-key", "ratio-not-a-number",
         "ratio-out-of-range", "swapped-positions", "one-point", "null-title-with-a-tie",
-        "members-a-string", "entry-names-no-cluster", "member-without-entry",
-        "duplicate-book-id", "block-size-not-an-int", "prime-max-a-bool",
-        "string-distance", "bool-distance", "numeric-format-version"])
+        "entry-names-no-cluster", "duplicate-book-id", "block-size-not-an-int",
+        "prime-max-a-bool", "string-value", "bool-position", "numeric-format-version",
+        "format-1-catalogue"])
 def test_search_of_a_malformed_catalogue_names_the_file(cli_catalogue, tmp_path, capsys,
                                                          corrupt):
     payload = copy.deepcopy(cli_catalogue)

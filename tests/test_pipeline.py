@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import arcindex
-from arcindex.catalogue import load, save, search_similar
+from arcindex.catalogue import load, nearest_cluster, save, search_similar
 from arcindex.characters import extract_characters
 from arcindex.clustering import cluster_report
 from arcindex.config import PipelineConfig
@@ -322,8 +322,9 @@ _WINDOWS = {1: {9: 0, 7: 0, 5: 0}, 2: {9: 3, 7: 5, 5: 7}, 3: {9: 0, 7: 0, 5: 0},
 PROMOTED_SHELF_DIGESTS = {
     "matrix": "496d9008100cfc9b570a0d589ddb9fce0cadab9f81dae7a4b1d817818031158d",
     "merge_trace": "bdc6d2e71431eaf72c57e6ebc5806f30b1c3d962cb236a70c2ec0aa95fb0af73",
-    "catalogue": "76ede1daad378cb8f724dd2749a15c879bfc80898ae0374dc7b3b3f70b01178d",
-    "like": "7f7ce55b4e6df049f9ddc44615f454cdf3ea05e94d5663c766002516541bd722",
+    "catalogue": "b771312f7751429da6b9dab6aeba4005ca58373256262e042d2d27416527b224",
+    "like": "df17fcad053844e2ced6853cc452cec556ac03a465aec8bfb6c8b1dbe8e9043a",
+    "pattern": "8cbb6a8e989c9ccf56bbdae91b10aed666944c43e77e41674897c8187037bd0e",
     "cluster_report": "327488708dade1f6829ee6ddf021c9beae41ec1330a62b8b484c45bb76179ee8",
 }
 
@@ -332,10 +333,12 @@ def promoted_shelf_digests(workdir):
     """Index, save, load and search a shelf of 12-, 9-, 7- and 5-point books.
 
     Returns the alignment routes its pairs take and the SHA-256 of the
-    matrix values, the merge trace, the saved catalogue, every like
-    result after load and the cluster report as ``arcindex cluster
-    --json`` prints it. It needs neither pytest nor hypothesis, so a
-    plain script can run it under any Python version.
+    matrix values, the merge trace, the saved catalogue, the like
+    results after load (keyed by query, in book-id order), the pattern
+    results after load (each analysed series' search results, nearest
+    cluster and that cluster's members) and the cluster report as
+    ``arcindex cluster --json`` prints it. It needs neither pytest nor
+    hypothesis, so a plain script can run it under any Python version.
     """
     templates = []
     for n in (12, 9, 7, 5):
@@ -357,11 +360,18 @@ def promoted_shelf_digests(workdir):
     path = Path(workdir) / "catalogue.json"
     save(result.catalogue, path)
     loaded = load(path)
-    likes = [search_similar(loaded, e.book_id, k=len(loaded.entries)) for e in loaded.entries]
+    k = len(loaded.entries)
+    likes = {q: search_similar(loaded, q, k=k) for q in sorted(e.book_id for e in loaded.entries)}
+    patterns = []
+    for a in result.analyses:
+        cluster_id, sim = nearest_cluster(loaded, a.series)
+        patterns.append((a.book_id, search_similar(loaded, a.series, k=k),
+                         cluster_id, sim, loaded.cluster(cluster_id).members))
     outputs = {"matrix": repr(result.matrix.values).encode(),
                "merge_trace": repr(result.merge_trace).encode(),
                "catalogue": path.read_bytes(),
                "like": repr(likes).encode(),
+               "pattern": repr(patterns).encode(),
                "cluster_report": json.dumps(
                    cluster_report(result.clusters, result.dynamic_threshold, result.merge_trace),
                    indent=2, sort_keys=True).encode()}

@@ -8,8 +8,8 @@ from arcindex.config import PipelineConfig
 from arcindex.errors import DegenerateSeries, FormatError, TooFewPivots
 from arcindex.pivots import PivotPoint
 from arcindex.series import (INTERPOLATED, PRIMARY, SECONDARY, SentimentSeries,
-                             SeriesPoint, _grow, align_lengths, build_series,
-                             export_series_csv, read_series_csv)
+                             SeriesPoint, _checked_points, _grow, align_lengths,
+                             build_series, export_series_csv, read_series_csv)
 from oracle_reference import ref_resample_secondary
 
 RATIO = PipelineConfig().length_ratio_limit
@@ -301,6 +301,22 @@ def test_series_csv_rejects_negative_values(tmp_path):
 
 def test_series_csv_rejects_non_numeric_rows(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text("0.0,low\n1.0,0.8\n", encoding="utf-8")
-    with pytest.raises(FormatError):
+    path.write_text("position,value\n0.0,0.2\nhalf,0.5\n1.0,0.8\n", encoding="utf-8")
+    with pytest.raises(FormatError, match="row 3: non-numeric"):
         read_series_csv(path)
+
+
+@pytest.mark.parametrize("bad", ["0.2", True, None, [0.2]],
+                         ids=["string", "bool", "null", "list"])
+@pytest.mark.parametrize("field", ["position", "value"])
+def test_checked_points_take_numbers_only(bad, field):
+    rows = [{"position": 0.0, "value": 0.2}, {"position": 1.0, "value": 0.4}]
+    rows[1][field] = bad
+    with pytest.raises(ValueError, match="point 2: non-numeric"):
+        _checked_points(rows)
+
+
+def test_checked_points_read_ints_as_floats():
+    points = _checked_points([{"position": 0, "value": 1}, {"position": 1, "value": 0}])
+    assert [(p.position, p.value) for p in points] == [(0.0, 1.0), (1.0, 0.0)]
+    assert all(type(p.position) is float and type(p.value) is float for p in points)
