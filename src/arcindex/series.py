@@ -36,9 +36,11 @@ class SeriesPoint:
 class SentimentSeries:
     """A book's progression series.
 
-    A series is a value once it is first aligned: ``align_lengths``
-    keeps every copy it grows from this series, so do not mutate
-    ``points`` or ``context`` after that.
+    A series is a value once it is first aligned or scored:
+    ``align_lengths`` keeps every copy it grows from this series, and
+    ``similarity.score`` keeps its values as a tuple with their
+    ``fsum``, so do not mutate ``points`` or ``context`` after that.
+    ``values()`` still builds a fresh list from ``points``.
     """
     book_id: str
     points: list
@@ -49,6 +51,9 @@ class SentimentSeries:
     context: list | None = field(default=None, compare=False, repr=False)
     # Grown copies keyed by (target length, promoted); see align_lengths.
     _grown: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    # The values as a tuple and their fsum, taken at the first scoring.
+    _values: tuple | None = field(default=None, init=False, compare=False, repr=False)
+    _fsum: float = field(default=0.0, init=False, compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -141,11 +146,12 @@ def align_lengths(s1: SentimentSeries, s2: SentimentSeries, ratio_limit: float):
     and whether promotion applies, so it is kept on the shorter series
     under that key and later alignments to the same length look it up.
     """
-    if len(s1) == len(s2):
+    n1, n2 = len(s1.points), len(s2.points)
+    if n1 == n2:
         return s1, s2
-    if len(s1) < 2 or len(s2) < 2:
+    if n1 < 2 or n2 < 2:
         raise DegenerateSeries("cannot align a series with fewer than 2 points")
-    longer, shorter = (s1, s2) if len(s1) > len(s2) else (s2, s1)
+    longer, shorter = (s1, s2) if n1 > n2 else (s2, s1)
     target = len(longer)
     promoted = (target - len(shorter)) / target > ratio_limit
     grown = shorter._grown.get((target, promoted))

@@ -21,7 +21,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from math import fsum, log1p, sqrt
+from math import fsum, isfinite, log1p, sqrt
 from operator import add, mul
 
 from .errors import DegenerateSeries, FormatError, LengthMismatch
@@ -34,15 +34,35 @@ __all__ = [
 ]
 
 
+def _check_values(values, where: str = "") -> None:
+    """Raise DegenerateSeries unless there are 2+ values, all finite and >= 0."""
+    if len(values) < 2:
+        raise DegenerateSeries(f"{where}series must have at least 2 points")
+    if not all(map(isfinite, values)) or min(values) < 0.0:
+        raise DegenerateSeries(f"{where}values must be finite and non-negative")
+
+
 def _check_pair(s1, s2):
     if len(s1) != len(s2):
         raise LengthMismatch(f"series lengths differ: {len(s1)} vs {len(s2)}")
-    if len(s1) < 2:
-        raise DegenerateSeries("series must have at least 2 points")
+    _check_values(s1)
+    _check_values(s2)
 
 
-def _evaluate(s1, s2) -> tuple:
+def _take_values(series: SentimentSeries) -> tuple:
+    """Check the series' values once and keep them on it with their fsum."""
+    # A tuple, not a list: CPython's GC stops tracking a tuple of floats,
+    # so the kept values add no collection work.
+    values = tuple([p.value for p in series.points])
+    _check_values(values, f"{series.book_id}: ")
+    series._values, series._fsum = values, fsum(values)
+    return values
+
+
+def _evaluate(s1, s2, sum1: float) -> tuple:
     """(rs, ps, cf, n, sd, spsi) of s1 against s2, in the passed order.
+
+    ``sum1`` is ``fsum(s1)``, which the caller may have kept.
 
     A point where RS is 0 carries no mass and gets CF 0, not 0/0. When
     one series is all-zero (or numerically indistinguishable from it),
@@ -52,7 +72,7 @@ def _evaluate(s1, s2) -> tuple:
     """
     rs = list(map(add, s1, s2))
     total = fsum(rs)
-    ps = fsum(s1) / total if total != 0.0 else 0.5
+    ps = sum1 / total if total != 0.0 else 0.5
     n = list(map(sqrt, rs))
     if total == 0.0 or ps <= 0.0 or ps >= 1.0:
         cf = [0.0] * len(rs)
@@ -72,26 +92,32 @@ def spsi(s1, s2) -> float:
     """The similarity indicator for two equal-length value sequences.
 
     Operands are ordered canonically before evaluation so that
-    spsi(a, b) and spsi(b, a) return the identical float.
+    spsi(a, b) and spsi(b, a) return the identical float. Raises
+    DegenerateSeries unless every value is finite and >= 0.
     """
-    return _canonical_spsi(list(s1), list(s2))
-
-
-def _canonical_spsi(a: list, b: list) -> float:
+    a = list(s1)
+    b = list(s2)
     _check_pair(a, b)
     if b < a:
         a, b = b, a
-    return _evaluate(a, b)[-1]
+    return _evaluate(a, b, fsum(a))[-1]
 
 
 def score(s1: SentimentSeries, s2: SentimentSeries, ratio_limit: float) -> float:
     """SPSI of two series after aligning them to a common length.
 
     Every pairwise score of the pipeline (matrix, clustering, catalogue
-    distances and search) goes through here.
+    search and nearest cluster) goes through here. It reads each aligned
+    series' values as a tuple with their ``fsum``, taken and checked at
+    that series' first scoring and kept on it, and orders the two
+    canonically as ``spsi`` does, so the bits are ``spsi``'s.
     """
     a, b = align_lengths(s1, s2, ratio_limit)
-    return _canonical_spsi(a.values(), b.values())
+    va = a._values or _take_values(a)
+    vb = b._values or _take_values(b)
+    if vb < va:
+        return _evaluate(vb, va, b._fsum)[-1]
+    return _evaluate(va, vb, a._fsum)[-1]
 
 
 @dataclass(frozen=True)
@@ -113,7 +139,7 @@ def spsi_breakdown(s1, s2) -> SpsiBreakdown:
     a = list(s1)
     b = list(s2)
     _check_pair(a, b)
-    rs, ps, cf, n, sd, _ = _evaluate(a, b)
+    rs, ps, cf, n, sd, _ = _evaluate(a, b, fsum(a))
     return SpsiBreakdown(rs=rs, ps=ps, cf=cf, n=n, sd=sd, spsi=spsi(a, b))
 
 

@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import math
 import random
 
@@ -7,8 +9,8 @@ from hypothesis import strategies as st
 
 from arcindex.config import PipelineConfig
 from arcindex.errors import DegenerateSeries, LengthMismatch
-from arcindex.series import SentimentSeries, SeriesPoint
-from arcindex.similarity import (SimilarityMatrix, read_matrix_csv, spsi,
+from arcindex.series import SentimentSeries, SeriesPoint, align_lengths
+from arcindex.similarity import (SimilarityMatrix, read_matrix_csv, score, spsi,
                                  spsi_breakdown, spsi_matrix, write_matrix_csv)
 from oracle_reference import ref_spsi, ref_spsi_parts
 from reference_data import (CLOSED_FORM_SPSI, EXPECTED_PS, EXPECTED_SD,
@@ -122,6 +124,38 @@ def test_underflowing_combined_entry_still_scores(tiny):
     assert value == pytest.approx(1.0)
 
 
+NON_FINITE_OR_NEGATIVE = {
+    "nan": [0.2, math.nan, 0.4],
+    "inf": [0.2, math.inf, 0.4],
+    "minus-inf": [0.2, -math.inf, 0.4],
+    "negative": [0.2, -1.0, 0.4],
+    "tiny-negative": [-0.0, 0.5, -1e-300],
+}
+BAD_PAIRS = {name: (bad, [0.5, 0.5, 0.5]) for name, bad in NON_FINITE_OR_NEGATIVE.items()}
+# fsum would raise an untyped ValueError ("-inf + inf in fsum").
+BAD_PAIRS["inf-against-minus-inf"] = ([math.inf, 0.5], [0.2, -math.inf])
+
+
+@pytest.mark.parametrize("pair", BAD_PAIRS.values(), ids=BAD_PAIRS)
+@pytest.mark.parametrize("fn", [spsi, spsi_breakdown])
+def test_non_finite_or_negative_values_never_reach_the_formula(fn, pair):
+    for a, b in (pair, pair[::-1]):
+        with pytest.raises(DegenerateSeries, match="finite and non-negative"):
+            fn(a, b)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE_OR_NEGATIVE.values(), ids=NON_FINITE_OR_NEGATIVE)
+def test_score_names_the_book_with_bad_values(bad):
+    good = _series("good", [0.5, 0.5, 0.5, 0.5])
+    for length in (3, 4, 5):   # grown, equal, longer
+        bent = _series("bent", bad + [0.5] * (length - 3))
+        for pair in ((bent, good), (good, bent)):
+            with pytest.raises(DegenerateSeries, match="bent: values must be finite"):
+                score(*pair, RATIO)
+    with pytest.raises(DegenerateSeries, match=r"pair \(good, bent\): bent: values"):
+        spsi_matrix([good, _series("bent", bad)], RATIO)
+
+
 def test_length_mismatch_raises():
     with pytest.raises(LengthMismatch):
         spsi([0.1, 0.2, 0.3], [0.1, 0.2])
@@ -203,3 +237,57 @@ def test_off_diagonal_lists_upper_triangle():
     m = SimilarityMatrix(book_ids=["a", "b", "c"],
                          values=[[1.0, 0.2, 0.3], [0.2, 1.0, 0.4], [0.3, 0.4, 1.0]])
     assert m.off_diagonal() == [0.2, 0.3, 0.4]
+
+
+@st.composite
+def _scored_series(draw, book_id):
+    """2-12 points with a ranked context; values include 0 and tiny ones.
+
+    With the ratios the test draws, pairs take all three alignment
+    routes: equal lengths, midpoints and promoted context blocks.
+    """
+    n = draw(st.integers(2, 12))
+    grid = sorted(draw(st.lists(st.integers(0, 1000), min_size=n, max_size=n, unique=True)))
+    value = st.one_of(st.just(0.0), st.sampled_from([5e-324, 1e-200]), st.floats(0.0, 1.0))
+    values = draw(st.lists(value, min_size=n, max_size=n))
+    blocks = draw(st.lists(st.tuples(st.integers(1, 999), st.floats(0.0, 1.0)), max_size=20))
+    context = sorted({(g / 1000, v) for g, v in blocks}, key=lambda b: (-b[1], b[0]))
+    points = [SeriesPoint(g / 1000, v) for g, v in zip(grid, values)]
+    return SentimentSeries(book_id=book_id, points=points, context=context)
+
+
+@settings(max_examples=400, deadline=None)
+@given(s1=_scored_series("a"), s2=_scored_series("b"), ratio=st.sampled_from([0.1, 0.3, 0.6]))
+def test_score_is_spsi_of_the_aligned_values_bit_for_bit(s1, s2, ratio):
+    expected = spsi(*[x.values() for x in align_lengths(s1, s2, ratio)]).hex()
+    for first, second in ((s1, s2), (s2, s1)):
+        a, b = dataclasses.replace(first), dataclasses.replace(second)
+        assert score(a, b, ratio).hex() == expected   # takes the values
+        assert score(a, b, ratio).hex() == expected   # reads the kept ones
+        assert score(b, a, ratio).hex() == expected
+
+
+def test_kept_values_stay_out_of_equality_repr_and_replace():
+    s = _series("a", [0.1, 0.2, 0.3])
+    twin = _series("a", [0.1, 0.2, 0.3])
+    other = _series("b", [0.3, 0.1, 0.2])
+    before = repr(s)
+    first = score(s, other, RATIO)
+    assert s._values == (0.1, 0.2, 0.3) and s._fsum == math.fsum([0.1, 0.2, 0.3])
+    assert s == twin and repr(s) == before
+    assert score(s, other, RATIO) == first
+    moved = dataclasses.replace(s, points=[SeriesPoint(p.position, 0.9) for p in s.points])
+    assert moved._values is None
+    assert score(moved, other, RATIO) == spsi([0.9] * 3, other.values())
+
+
+def test_values_read_the_points_of_a_scored_copy():
+    # What perfbench's selftest does: bend one point of a deep copy.
+    s = _series("a", [0.1, 0.2, 0.3, 0.4, 0.5])
+    score(s, _series("b", [0.5, 0.4, 0.3, 0.2, 0.1]), RATIO)
+    bent = copy.deepcopy(s)
+    point = bent.points[3]
+    bent.points[3] = SeriesPoint(point.position, point.value + 1e-6)
+    assert bent.values()[3] == 0.4 + 1e-6
+    assert s.values() == [0.1, 0.2, 0.3, 0.4, 0.5]
+    assert s.values() is not s.values()
