@@ -14,6 +14,8 @@ import math
 import re
 import sys
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import lt
 from pathlib import Path
 
 from .errors import AliasError, ConfigError, EmptyDocument, FormatError, LexiconError
@@ -219,11 +221,38 @@ def load_default_lexicon() -> dict:
 
 
 STORE_FORMAT = "arcindex-store"
-STORE_VERSION = "2.0"
+STORE_VERSION = "3.0"
+
+
+def _stored_tokens(doc) -> dict:
+    """A document's token columns as stored: one text string, two lists of positions.
+
+    The words are joined with single spaces, so a word that is empty or
+    holds a space cannot be stored; ``tokenize`` never yields one.
+    """
+    tokens = doc.tokens
+    text, n = tokens.text, len(tokens)
+    if not len(tokens.capitalized) == len(tokens.sentence_start) == n:
+        raise FormatError(f"book {doc.book_id!r}: token columns differ in length")
+    joined = " ".join(text)
+    if "" in text or joined.count(" ") != max(n - 1, 0):
+        offset = next(i for i, t in enumerate(text) if not t or " " in t)
+        raise FormatError(f"book {doc.book_id!r}: token {offset} ({text[offset]!r}) "
+                          "is empty or holds a space, so it cannot be stored")
+    return {"text": joined,
+            "capitalized": list(compress(range(n), tokens.capitalized)),
+            "sentence_start": list(compress(range(n), tokens.sentence_start))}
 
 
 def save_store(docs, path) -> None:
-    """Persist normalized documents as JSON, tokens as three columns."""
+    """Persist normalized documents as JSON (format 3.0).
+
+    Each document's tokens are stored as ``text``, its words joined by
+    single spaces, and ``capitalized`` and ``sentence_start``, the sorted
+    positions where that flag is true. A token that is empty or holds a
+    space raises ``FormatError`` naming the book and the token's offset,
+    before the file is opened, so an existing file keeps its bytes.
+    """
     payload = {
         "format": STORE_FORMAT,
         "version": STORE_VERSION,
@@ -234,11 +263,7 @@ def save_store(docs, path) -> None:
                 "author": d.author,
                 "language": d.language,
                 "metadata": d.metadata,
-                "tokens": {
-                    "text": d.tokens.text,
-                    "capitalized": [int(c) for c in d.tokens.capitalized],
-                    "sentence_start": [int(s) for s in d.tokens.sentence_start],
-                },
+                "tokens": _stored_tokens(d),
             }
             for d in docs
         ],
@@ -249,16 +274,35 @@ def save_store(docs, path) -> None:
         fh.write(text)
 
 
+def _flags(positions, n: int) -> list:
+    """A flag column of ``n`` values, true at the stored sorted ``positions``."""
+    if not (isinstance(positions, list) and {*map(type, positions)} <= {int}):
+        raise TypeError("token flags must be a list of integer positions")
+    if positions and not (0 <= positions[0] and positions[-1] < n
+                          and all(map(lt, positions, positions[1:]))):
+        raise ValueError(f"token flag positions must strictly increase from 0 to below {n}")
+    flags = [False] * n
+    for p in positions:
+        flags[p] = True
+    return flags
+
+
 def _tokens_from_payload(columns) -> Tokens:
-    text, capitalized, starts = (columns[k] for k in ("text", "capitalized", "sentence_start"))
-    if not all(isinstance(c, list) for c in (text, capitalized, starts)):
-        raise TypeError("token columns must be lists")
-    if not len(text) == len(capitalized) == len(starts):
-        raise ValueError("token columns differ in length")
-    if not {*capitalized, *starts} <= {0, 1}:
-        raise ValueError("token flags must be 0 or 1")
-    return Tokens(list(map(sys.intern, text)), list(map(bool, capitalized)),
-                  list(map(bool, starts)))
+    """Decode a stored document's tokens, checked with no per-token Python loop.
+
+    ``text`` must be a string of words split by single spaces (no
+    double, leading or trailing space), and each flag column a strictly
+    increasing list of integer positions inside the document. Words are
+    interned; an empty ``text`` is a document with no tokens.
+    """
+    text = columns["text"]
+    if not isinstance(text, str):
+        raise TypeError("token text must be a string")
+    words = list(map(sys.intern, text.split(" "))) if text else []
+    if "" in words:
+        raise ValueError("token text has an empty word (a double, leading or trailing space)")
+    n = len(words)
+    return Tokens(words, _flags(columns["capitalized"], n), _flags(columns["sentence_start"], n))
 
 
 def _document_from_payload(d) -> BookDocument:

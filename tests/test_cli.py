@@ -110,6 +110,19 @@ def test_ingest_of_a_triple_format_store_is_a_data_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_ingest_of_a_format_2_store_is_a_data_error(tmp_path, capsys):
+    store = tmp_path / "old.json"
+    store.write_text('{"documents":[{"author":null,"book_id":"b","language":"en",'
+                     '"metadata":{},"title":"B","tokens":{"capitalized":[1],'
+                     '"sentence_start":[1],"text":["word"]}}],'
+                     '"format":"arcindex-store","version":"2.0"}\n', encoding="utf-8")
+    assert main(["ingest", str(store)]) == 2
+    err = capsys.readouterr().err
+    assert "version '2.0'" in err
+    assert "arcindex ingest" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["index", "eval"])
 def test_a_store_with_a_malformed_document_is_a_data_error(cli_corpus, tmp_path, capsys,
                                                             command):

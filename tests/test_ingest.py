@@ -11,7 +11,7 @@ from arcindex.catalogue import load as load_catalogue
 from arcindex.config import PipelineConfig, load_config
 from arcindex.errors import (AliasError, ConfigError, EmptyDocument,
                              FormatError, LexiconError)
-from arcindex.ingest import (AliasTable, BookDocument, load_aliases,
+from arcindex.ingest import (AliasTable, BookDocument, Tokens, load_aliases,
                              load_cmu_summaries, load_default_lexicon,
                              load_lexicon, load_plain_text, load_store,
                              save_store, segment_blocks, tokenize)
@@ -258,12 +258,11 @@ def test_store_bytes_are_stable(tmp_path):
     assert path.read_text(encoding="utf-8") == (
         '{"documents":[{"author":"A","book_id":"b1","language":"en",'
         '"metadata":{"genres":["G"],"pub_date":null},"title":"Caf\\u00e9 \\"Noir\\"",'
-        '"tokens":{"capitalized":[1,0,1,1],"sentence_start":[1,0,0,1],'
-        '"text":["\\u00e9lise","met","bram","bye"]}},'
+        '"tokens":{"capitalized":[0,2,3],"sentence_start":[0,3],'
+        '"text":"\\u00e9lise met bram bye"}},'
         '{"author":null,"book_id":"b2","language":"en","metadata":{},"title":"Two",'
-        '"tokens":{"capitalized":[1,0,0],"sentence_start":[1,0,0],'
-        '"text":["more","words","here"]}}],'
-        '"format":"arcindex-store","version":"2.0"}\n')
+        '"tokens":{"capitalized":[0],"sentence_start":[0],"text":"more words here"}}],'
+        '"format":"arcindex-store","version":"3.0"}\n')
 
 
 def test_store_rejects_foreign_json(tmp_path):
@@ -307,24 +306,81 @@ def test_store_rejects_the_triple_format(tmp_path):
         load_store(path)
 
 
+V2_STORE = ('{"documents":[{"author":null,"book_id":"b2","language":"en","metadata":{},'
+            '"title":"Two","tokens":{"capitalized":[1,0,0],"sentence_start":[1,0,0],'
+            '"text":["more","words","here"]}}],"format":"arcindex-store","version":"2.0"}\n')
+
+
+def test_store_rejects_the_format_2_layout(tmp_path):
+    path = tmp_path / "store.json"
+    path.write_text(V2_STORE, encoding="utf-8")
+    with pytest.raises(FormatError, match="version '2.0' is not '3.0'.*arcindex ingest") as excinfo:
+        load_store(path)
+    assert str(path) in str(excinfo.value)
+
+
+# Stored as text "more words here then bram left", capitalized [0, 1, 3, 4]
+# and sentence_start [0, 3]: six tokens.
 @pytest.mark.parametrize("column, damage", [
-    ("text", lambda col: col[:-1]),
-    ("capitalized", lambda col: col + [0]),
-    ("sentence_start", lambda col: col[1:]),
-    ("text", lambda col: col[:1] + [7] + col[2:]),
-    ("text", lambda col: " ".join(col)),
-    ("capitalized", lambda col: [2] * len(col)),
+    ("text", lambda col: col.split(" ")),
+    ("text", lambda col: col.replace(" ", "  ", 1)),
+    ("text", lambda col: col + " "),
+    ("capitalized", lambda col: "0,1,3,4"),
+    ("capitalized", lambda col: [0, 1, 1, 3, 4]),
+    ("capitalized", lambda col: [0, 3, 1, 4]),
+    ("capitalized", lambda col: [-1, *col]),
+    ("capitalized", lambda col: [0, True, 3, 4]),
+    ("capitalized", lambda col: [0, 1.0, 3, 4]),
+    ("capitalized", lambda col: [0, "1", 3, 4]),
+    ("sentence_start", lambda col: [*col, 6]),
 ])
 def test_store_rejects_malformed_token_columns(tmp_path, column, damage):
     path = tmp_path / "store.json"
     save_store([BookDocument(book_id="b1", title="One",
-                             tokens=tokenize("More words here."))], path)
+                             tokens=tokenize("More Words here. Then Bram left."))], path)
     payload = json.loads(path.read_text(encoding="utf-8"))
     tokens = payload["documents"][0]["tokens"]
+    assert tokens == {"text": "more words here then bram left",
+                      "capitalized": [0, 1, 3, 4], "sentence_start": [0, 3]}
     tokens[column] = damage(tokens[column])
     path.write_text(json.dumps(payload), encoding="utf-8")
-    with pytest.raises(FormatError, match="malformed"):
+    with pytest.raises(FormatError, match="malformed") as excinfo:
         load_store(path)
+    assert str(path) in str(excinfo.value)
+
+
+# Any word without the separator, non-ASCII ones included.
+WORD = st.text(st.characters(exclude_characters=" "), min_size=1, max_size=6)
+TOKENS = st.lists(st.tuples(WORD, st.booleans(), st.booleans()), max_size=12).map(
+    lambda rows: Tokens(*map(list, zip(*rows))) if rows else Tokens([], [], []))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(TOKENS, max_size=4))
+def test_store_round_trips_any_tokens(columns):
+    docs = [BookDocument(book_id=f"b{i}", title="T", tokens=tokens)
+            for i, tokens in enumerate(columns)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "store.json"
+        save_store(docs, path)
+        back = load_store(path)
+    assert back == docs
+    assert all(t is sys.intern(t) for d in back for t in d.tokens.text)
+
+
+@settings(max_examples=50, deadline=None)
+@given(TOKENS, st.data(), st.sampled_from(["", " ", "a b", " a", "a ", "\u00e9 "]))
+def test_store_refuses_a_token_it_cannot_split_back(tokens, data, bad):
+    offset = data.draw(st.integers(0, len(tokens)))
+    tokens.text.insert(offset, bad)
+    tokens.capitalized.insert(offset, False)
+    tokens.sentence_start.insert(offset, False)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "store.json"
+        path.write_bytes(b"kept")
+        with pytest.raises(FormatError, match=f"book 'b1': token {offset} "):
+            save_store([BookDocument(book_id="b1", title="T", tokens=tokens)], path)
+        assert path.read_bytes() == b"kept"
 
 
 # Each damage to a stored document and the words its error must contain.
