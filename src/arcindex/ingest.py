@@ -2,7 +2,8 @@
 
 A document's tokens are three parallel columns: the lowercased text,
 whether the original surface form was capitalized, and whether the
-token opens a sentence. Character mining needs the second, sentiment
+token opens a sentence. The two flag columns are ``bytes``, one byte
+(0 or 1) per token. Character mining needs the capital flags, sentiment
 lookup the lowercase text, and the sentence flag keeps ordinary
 sentence-initial capitals from looking like names.
 """
@@ -27,11 +28,14 @@ _SENTENCE_END = frozenset(".!?")
 
 @dataclass(slots=True)
 class Tokens:
-    """One document's token stream, stored column by column."""
+    """One document's token stream, stored column by column.
+
+    The flag columns are ``bytes``, one byte (0 or 1) per token.
+    """
 
     text: list              # lowercased surface forms, interned
-    capitalized: list       # original form started with an uppercase letter
-    sentence_start: list    # first token of the text or follows ., ! or ?
+    capitalized: bytes      # original form started with an uppercase letter
+    sentence_start: bytes   # first token of the text or follows ., ! or ?
 
     def __len__(self) -> int:
         return len(self.text)
@@ -78,13 +82,13 @@ def tokenize(text: str) -> Tokens:
     parts = _WORD_SPLIT.split(text)
     words = parts[1::2]
     if not words:
-        return Tokens([], [], [])
+        return Tokens([], b"", b"")
     gaps = parts[2:-1:2]     # gaps[i] lies between words[i] and words[i + 1]
     # A text repeats a few gap strings over and over: test each one once.
     ends = {gap: not _SENTENCE_END.isdisjoint(gap) for gap in set(gaps)}
     return Tokens(list(map(sys.intern, map(str.lower, words))),
-                  [word[0].isupper() for word in words],
-                  [True, *map(ends.__getitem__, gaps)])
+                  bytes([word[0].isupper() for word in words]),
+                  bytes([True, *map(ends.__getitem__, gaps)]))
 
 
 def _not_utf8(path, error_type):
@@ -124,7 +128,7 @@ def load_plain_text(path, book_id: str) -> BookDocument:
 
 
 def load_cmu_summaries(path):
-    """Parse the 7-column book-summary TSV.
+    """Parse the 7-column book-summary TSV into tokenized documents.
 
     Columns: wikipedia_id, freebase_id, title, author, pub_date,
     genres-as-JSON-object, plot_summary. Returns ``(documents, skipped)``
@@ -132,7 +136,18 @@ def load_cmu_summaries(path):
     not strings, duplicate or missing ids) are skipped and counted rather
     than raised.
     """
-    documents = []
+    rows, skipped = _summary_rows(path)
+    return [BookDocument(book_id=book_id, title=title, author=author,
+                         tokens=tokenize(metadata["summary"]), metadata=metadata)
+            for book_id, title, author, metadata in rows], skipped
+
+
+def _summary_rows(path):
+    """``([(book_id, title, author, metadata), ...], skipped)`` of a summary TSV.
+
+    The rows ``load_cmu_summaries`` keeps, without tokenizing them.
+    """
+    rows = []
     skipped = 0
     seen_ids = set()
     for line in _utf8_lines(path, FormatError):
@@ -163,19 +178,13 @@ def load_cmu_summaries(path):
         else:
             genres = []
         seen_ids.add(wiki_id)
-        documents.append(BookDocument(
-            book_id=wiki_id,
-            title=title.strip(),
-            author=author.strip() or None,
-            tokens=tokenize(summary),
-            metadata={
-                "genres": genres,
-                "summary": summary,
-                "freebase_id": freebase_id.strip() or None,
-                "pub_date": pub_date.strip() or None,
-            },
-        ))
-    return documents, skipped
+        rows.append((wiki_id, title.strip(), author.strip() or None, {
+            "genres": genres,
+            "summary": summary,
+            "freebase_id": freebase_id.strip() or None,
+            "pub_date": pub_date.strip() or None,
+        }))
+    return rows, skipped
 
 
 def segment_blocks(doc: BookDocument, block_size: int) -> list:
@@ -227,18 +236,23 @@ STORE_VERSION = "3.0"
 def _stored_tokens(doc) -> dict:
     """A document's token columns as stored: one text string, two lists of positions.
 
-    The words are joined with single spaces, so a word that is empty or
-    holds a space cannot be stored; ``tokenize`` never yields one.
+    The words are joined with single spaces, so a word that is not a
+    string, is empty or holds a space cannot be stored; ``tokenize``
+    never yields one.
     """
     tokens = doc.tokens
     text, n = tokens.text, len(tokens)
     if not len(tokens.capitalized) == len(tokens.sentence_start) == n:
         raise FormatError(f"book {doc.book_id!r}: token columns differ in length")
-    joined = " ".join(text)
-    if "" in text or joined.count(" ") != max(n - 1, 0):
-        offset = next(i for i, t in enumerate(text) if not t or " " in t)
-        raise FormatError(f"book {doc.book_id!r}: token {offset} ({text[offset]!r}) "
-                          "is empty or holds a space, so it cannot be stored")
+    try:
+        joined = " ".join(text)
+    except TypeError:       # a token that is not a string
+        joined = None
+    if joined is None or "" in text or joined.count(" ") != max(n - 1, 0):
+        offset = next(i for i, t in enumerate(text)
+                      if not isinstance(t, str) or not t or " " in t)
+        raise FormatError(f"book {doc.book_id!r}: token {offset} ({text[offset]!r}) is not "
+                          "a string, is empty or holds a space, so it cannot be stored")
     return {"text": joined,
             "capitalized": list(compress(range(n), tokens.capitalized)),
             "sentence_start": list(compress(range(n), tokens.sentence_start))}
@@ -249,9 +263,10 @@ def save_store(docs, path) -> None:
 
     Each document's tokens are stored as ``text``, its words joined by
     single spaces, and ``capitalized`` and ``sentence_start``, the sorted
-    positions where that flag is true. A token that is empty or holds a
-    space raises ``FormatError`` naming the book and the token's offset,
-    before the file is opened, so an existing file keeps its bytes.
+    positions where that flag is true. A token that is not a string, is
+    empty or holds a space raises ``FormatError`` naming the book and the
+    token's offset, before the file is opened, so an existing file keeps
+    its bytes.
     """
     payload = {
         "format": STORE_FORMAT,
@@ -274,17 +289,17 @@ def save_store(docs, path) -> None:
         fh.write(text)
 
 
-def _flags(positions, n: int) -> list:
-    """A flag column of ``n`` values, true at the stored sorted ``positions``."""
+def _flags(positions, n: int) -> bytes:
+    """A flag column of ``n`` bytes, 1 at the stored sorted ``positions``."""
     if not (isinstance(positions, list) and {*map(type, positions)} <= {int}):
         raise TypeError("token flags must be a list of integer positions")
     if positions and not (0 <= positions[0] and positions[-1] < n
                           and all(map(lt, positions, positions[1:]))):
         raise ValueError(f"token flag positions must strictly increase from 0 to below {n}")
-    flags = [False] * n
+    flags = bytearray(n)
     for p in positions:
-        flags[p] = True
-    return flags
+        flags[p] = 1
+    return bytes(flags)
 
 
 def _tokens_from_payload(columns) -> Tokens:

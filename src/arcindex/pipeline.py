@@ -17,9 +17,8 @@ from .characters import co_occurrence, extract_characters, select_core, select_p
 from .clustering import cluster_matrix, cluster_series, resolve_threshold
 from .config import PipelineConfig
 from .errors import ArcIndexError, FormatError
-from .ingest import (AliasTable, BookDocument, _utf8_lines, load_aliases,
-                     load_cmu_summaries, load_default_lexicon, load_plain_text,
-                     segment_blocks)
+from .ingest import (AliasTable, BookDocument, _summary_rows, _utf8_lines, load_aliases,
+                     load_default_lexicon, load_plain_text, segment_blocks)
 from .pivots import (block_positions, block_sentiments, compute_interactions,
                      predominant_pair, smooth)
 from .series import SentimentSeries, build_series
@@ -255,17 +254,17 @@ def load_corpus_dir(path):
     meta = {}
     tsv = root / "summaries.tsv"
     if tsv.is_file():
-        meta_docs, _skipped = load_cmu_summaries(tsv)
-        meta = {d.book_id: d for d in meta_docs}
+        rows, _skipped = _summary_rows(tsv)
+        meta = {book_id: rest for book_id, *rest in rows}
     docs = []
     for text_path in sorted(books_dir.glob("*.txt")):
         book_id = text_path.stem
         doc = load_plain_text(text_path, book_id=book_id)
         m = meta.get(book_id)
         if m is not None:
-            doc = BookDocument(book_id=book_id, title=m.title, tokens=doc.tokens,
-                               author=m.author, language=doc.language,
-                               metadata=dict(m.metadata))
+            title, author, metadata = m
+            doc = BookDocument(book_id=book_id, title=title, tokens=doc.tokens,
+                               author=author, language=doc.language, metadata=metadata)
         docs.append(doc)
     aliases_path = root / "aliases.tsv"
     aliases = load_aliases(aliases_path) if aliases_path.is_file() else None

@@ -148,7 +148,8 @@ def _token_streams(draw):
     sentence_start = draw(st.lists(st.booleans(), min_size=n, max_size=n))
     if n:
         sentence_start[0] = True
-    return Tokens(text=text, capitalized=capitalized, sentence_start=sentence_start)
+    return Tokens(text=text, capitalized=bytes(capitalized),
+                  sentence_start=bytes(sentence_start))
 
 
 @settings(max_examples=300, deadline=None)
@@ -158,5 +159,5 @@ def test_profiles_match_the_per_run_reference(tokens, aliases):
     got = [(p.canonical_name, p.mention_count, p.first_mention, p.mention_positions)
            for p in extract_characters(doc, aliases)]
     resolve = aliases.resolve if aliases is not None else None
-    assert got == ref_extract_characters(tokens.text, tokens.capitalized,
-                                         tokens.sentence_start, resolve)
+    assert got == ref_extract_characters(tokens.text, list(map(bool, tokens.capitalized)),
+                                         list(map(bool, tokens.sentence_start)), resolve)

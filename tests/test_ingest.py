@@ -39,7 +39,7 @@ def test_tokenize_lowercases_and_flags_capitals():
 
 def test_tokenize_sentence_boundaries_need_terminators():
     tokens = tokenize("one two! three? four, five")
-    assert tokens.sentence_start == [True, False, True, True, False]
+    assert tokens.sentence_start == bytes([True, False, True, True, False])
 
 
 def test_tokenize_keeps_contractions_whole():
@@ -53,9 +53,21 @@ def test_tokenize_matches_the_per_token_reference(text):
     tokens = tokenize(text)
     ref = ref_tokenize(text)
     assert tokens.text == [t.text for t in ref]
-    assert tokens.capitalized == [t.capitalized for t in ref]
-    assert tokens.sentence_start == [t.sentence_start for t in ref]
+    assert tokens.capitalized == bytes([t.capitalized for t in ref])
+    assert tokens.sentence_start == bytes([t.sentence_start for t in ref])
     assert all(t is sys.intern(t) for t in tokens.text)
+
+
+@pytest.mark.parametrize("text", ["", "...", "Mara walked. The dog saw Mara."])
+def test_flag_columns_are_one_byte_per_token(tmp_path, text):
+    tokens = tokenize(text)
+    path = tmp_path / "store.json"
+    save_store([BookDocument(book_id="b1", title="T", tokens=tokens)], path)
+    for got in (tokens, load_store(path)[0].tokens):
+        for column in (got.capitalized, got.sentence_start):
+            assert type(column) is bytes
+            assert len(column) == len(got.text) == len(tokens)
+            assert set(column) <= {0, 1}
 
 
 def test_tokenize_empty_text():
@@ -352,7 +364,8 @@ def test_store_rejects_malformed_token_columns(tmp_path, column, damage):
 # Any word without the separator, non-ASCII ones included.
 WORD = st.text(st.characters(exclude_characters=" "), min_size=1, max_size=6)
 TOKENS = st.lists(st.tuples(WORD, st.booleans(), st.booleans()), max_size=12).map(
-    lambda rows: Tokens(*map(list, zip(*rows))) if rows else Tokens([], [], []))
+    lambda rows: Tokens([r[0] for r in rows], bytes([r[1] for r in rows]),
+                        bytes([r[2] for r in rows])))
 
 
 @settings(max_examples=100, deadline=None)
@@ -369,12 +382,14 @@ def test_store_round_trips_any_tokens(columns):
 
 
 @settings(max_examples=50, deadline=None)
-@given(TOKENS, st.data(), st.sampled_from(["", " ", "a b", " a", "a ", "\u00e9 "]))
+@given(TOKENS, st.data(),
+       st.sampled_from(["", " ", "a b", " a", "a ", "\u00e9 ", 7, None, b"word", ["word"]]))
 def test_store_refuses_a_token_it_cannot_split_back(tokens, data, bad):
     offset = data.draw(st.integers(0, len(tokens)))
     tokens.text.insert(offset, bad)
-    tokens.capitalized.insert(offset, False)
-    tokens.sentence_start.insert(offset, False)
+    for column in ("capitalized", "sentence_start"):
+        flags = getattr(tokens, column)
+        setattr(tokens, column, flags[:offset] + bytes([False]) + flags[offset:])
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "store.json"
         path.write_bytes(b"kept")

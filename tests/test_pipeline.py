@@ -144,9 +144,14 @@ def test_evaluate_scores_progression_and_baselines(synth_small, synth_cfg):
     json.dumps(report.to_dict())
 
 
-def test_load_corpus_dir_merges_summary_metadata(tmp_path, synth_small):
+def test_load_corpus_dir_merges_summary_metadata(tmp_path, synth_small, monkeypatch):
     write_corpus(synth_small, tmp_path)
+    tokenized = []
+    monkeypatch.setattr(arcindex.ingest, "tokenize",
+                        lambda text, tokenize=tokenize: tokenized.append(text) or tokenize(text))
     docs, aliases = load_corpus_dir(tmp_path)
+    # Only the books are tokenized; the summaries give metadata alone.
+    assert len(tokenized) == len(docs)
     assert aliases is None
     assert [d.book_id for d in docs] == sorted(synth_small.texts)
     originals = {d.book_id: d for d in synth_small.documents}
