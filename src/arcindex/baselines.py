@@ -10,8 +10,8 @@ comparison isolates the similarity signal, not the clustering.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import MissingLabel, MissingText
 from .ingest import tokenize
@@ -30,10 +30,7 @@ def _tfidf(bags: dict) -> dict:
     tf is the in-document count; idf is ln(N / df).
     """
     n_docs = len(bags)
-    df = {}
-    for bag in bags.values():
-        for term in bag:
-            df[term] = df.get(term, 0) + 1
+    df = Counter(term for bag in bags.values() for term in bag)
     vectors = {}
     for doc_id, bag in bags.items():
         vectors[doc_id] = {
@@ -41,13 +38,6 @@ def _tfidf(bags: dict) -> dict:
             for term, count in bag.items()
         }
     return vectors
-
-
-def _bag(tokens) -> dict:
-    bag = {}
-    for t in tokens:
-        bag[t] = bag.get(t, 0) + 1
-    return bag
 
 
 def baseline1_vectors(docs) -> dict:
@@ -58,7 +48,7 @@ def baseline1_vectors(docs) -> dict:
         if doc.author:
             parts.append(doc.author)
         parts.extend(doc.metadata.get("genres", []))
-        bags[doc.book_id] = _bag(tokenize(" ".join(parts)).text)
+        bags[doc.book_id] = Counter(tokenize(" ".join(parts)).text)
     return _tfidf(bags)
 
 
@@ -73,7 +63,7 @@ def baseline2_vectors(docs) -> dict:
             tokens = doc.tokens.text
         else:
             raise MissingText(f"{doc.book_id}: no summary and no body text")
-        bags[doc.book_id] = _bag(tokens)
+        bags[doc.book_id] = Counter(tokens)
     return _tfidf(bags)
 
 
@@ -122,7 +112,6 @@ def similarity_matrix_from_vectors(vectors: dict) -> SimilarityMatrix:
 @dataclass
 class AgreementReport:
     method: str
-    assignment: dict          # book_id -> cluster key
     pairwise_agreement: float
     purity: float
     agreed_count: int         # agreeing pairs
@@ -138,43 +127,39 @@ class AgreementReport:
         }
 
 
+def _pairs(counts: Counter) -> int:
+    """Unordered pairs within each counted group: the sum of C(n, 2)."""
+    return sum(n * (n - 1) // 2 for n in counts.values())
+
+
 def agreement(partition, labels: dict, method: str = "") -> AgreementReport:
     """Compare a partition against reference labels.
 
-    Pairwise agreement is the fraction of book pairs grouped the same
-    way by both sides; purity is the share of books matching their
-    cluster's majority label. Both ignore cluster naming entirely.
+    Pairwise agreement (the Rand index) is the fraction of book pairs
+    grouped the same way by both sides; purity is the share of books
+    matching their cluster's majority label. Both ignore cluster naming
+    entirely. A book listed in more than one cluster counts once, in
+    the last, for pairwise agreement, and in each for purity.
+
+    Pairs are counted from the cluster x label table, not looped over:
+    of the C(n, 2) pairs, C(n, 2) - (pairs sharing a cluster) - (pairs
+    sharing a label) + 2 * (pairs sharing both) agree.
     """
-    assignment = {}
-    for idx, members in enumerate(partition):
-        for book_id in members:
-            assignment[book_id] = idx
+    assignment = {book_id: idx for idx, members in enumerate(partition)
+                  for book_id in members}
     missing = [b for b in assignment if b not in labels]
     if missing:
         raise MissingLabel(f"no reference label for: {', '.join(sorted(map(str, missing))[:5])}")
 
-    books = sorted(assignment)
-    agreed = 0
-    total = 0
-    for a, b in combinations(books, 2):
-        total += 1
-        same_cluster = assignment[a] == assignment[b]
-        same_label = labels[a] == labels[b]
-        if same_cluster == same_label:
-            agreed += 1
-
-    majority_total = 0
-    for members in partition:
-        counts = {}
-        for book_id in members:
-            label = labels[book_id]
-            counts[label] = counts.get(label, 0) + 1
-        if counts:
-            majority_total += max(counts.values())
-    n_books = len(books)
+    n_books = len(assignment)
+    total = n_books * (n_books - 1) // 2
+    agreed = (total - _pairs(Counter(assignment.values()))
+              - _pairs(Counter(labels[b] for b in assignment))
+              + 2 * _pairs(Counter((idx, labels[b]) for b, idx in assignment.items())))
+    majority_total = sum(max(Counter(labels[b] for b in members).values(), default=0)
+                         for members in partition)
     return AgreementReport(
         method=method,
-        assignment=assignment,
         pairwise_agreement=agreed / total if total else 1.0,
         purity=majority_total / n_books if n_books else 1.0,
         agreed_count=agreed,

@@ -21,8 +21,8 @@ from .clustering import cluster_matrix, cluster_report, resolve_threshold
 from .config import PipelineConfig, format_config, load_config, parse_config_text
 from .errors import ArcIndexError, ConfigError
 from .ingest import load_cmu_summaries, load_plain_text, load_store, save_store
-from .pipeline import (analyze_corpus, build_from_documents, evaluate,
-                       load_corpus_dir, load_labels)
+from .pipeline import (_load_corpus_dir, analyze_corpus, build_from_documents, evaluate,
+                       load_labels)
 from .series import align_lengths, export_series_csv, read_series_csv
 from .similarity import read_matrix_csv, spsi_breakdown, spsi_matrix, write_matrix_csv
 from .synth import DEFAULT_TEMPLATES, GenSpec, generate, write_corpus
@@ -139,7 +139,7 @@ def _load_input(path_str: str):
     if not path.exists():
         raise FileNotFoundError(f"input not found: {path}")
     if path.is_dir():
-        return *load_corpus_dir(path), 0
+        return _load_corpus_dir(path)
     if path.suffix == ".json":
         return load_store(path), None, 0
     if path.suffix == ".tsv":

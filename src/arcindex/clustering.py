@@ -9,10 +9,11 @@ cases where only the matrix survives.
 Merging always takes the most similar pair, breaking ties toward the
 lexicographically smallest id pair, and stops when no pair exceeds the
 threshold. The loop keeps every live pair that scores above the
-threshold in a heap and discards stale entries lazily, so n ids cost
-n(n-1)/2 initial scores, one fresh score per remaining cluster after
-each merge, and O(n^2 log n) heap work; pairs at or below the
-threshold can never merge and are never pushed.
+threshold in a heap and discards stale entries lazily. In both modes
+two books' first similarity is their matrix entry, so n ids cost
+n(n-1)/2 matrix reads to seed the heap, one fresh score per remaining
+cluster after each merge, and O(n^2 log n) heap work; pairs at or below
+the threshold can never merge and are never pushed.
 After a merge the merged id is always the first argument to
 ``similarity_of``, whichever id is smaller: matrix-mode averages sum in
 argument order, so swapping the arguments can move the last bit of a
@@ -86,14 +87,17 @@ def _pstdev(values) -> float:
     return float(root << shift) if shift >= 0 else root / (1 << -shift)
 
 
-def _merge_loop(members: dict, similarity_of, on_merge, dt: float):
+def _merge_loop(members: dict, matrix: SimilarityMatrix, similarity_of, on_merge,
+                dt: float):
     """Shared agglomeration: merge the argmax pair while above dt.
 
-    ``members`` maps each cluster id to its sorted member ids and is
+    ``members`` maps each book id to its own singleton cluster and is
     updated in place: merging b into a (a < b) moves b's members into a
     and drops b, then ``on_merge(a, b)`` updates the caller's own state.
-    ``similarity_of(a, b)`` scores two live cluster ids. Returns the
-    trace; ``members`` is left holding the final clusters.
+    Two books a < b first score ``matrix``'s entry at row a, column b;
+    after a merge ``similarity_of(merged, other)`` scores the merged
+    cluster against each other live one. Returns the trace; ``members``
+    is left holding the final clusters.
 
     Every live pair with sim > dt has one valid heap entry ``(-sim, a,
     b, stamp_a, stamp_b)`` with a < b; pairs at or below dt never merge,
@@ -103,10 +107,11 @@ def _merge_loop(members: dict, similarity_of, on_merge, dt: float):
     when the heap is empty.
     """
     ids = sorted(members)
+    pos = {book_id: i for i, book_id in enumerate(matrix.book_ids)}
     stamp = dict.fromkeys(ids, 0)
     heap = [(-sim, a, b, 0, 0)
             for i, a in enumerate(ids) for b in ids[i + 1:]
-            if (sim := similarity_of(a, b)) > dt]
+            if (sim := matrix.values[pos[a]][pos[b]]) > dt]
     heapq.heapify(heap)
     trace = []
     while heap:
@@ -143,14 +148,13 @@ def cluster_matrix(matrix: SimilarityMatrix, dt: float):
 
     def similarity_of(a, b):
         total = 0.0
-        count = 0
         for ma in members[a]:
+            row = matrix.values[index[ma]]
             for mb in members[b]:
-                total += matrix.values[index[ma]][index[mb]]
-                count += 1
-        return total / count
+                total += row[index[mb]]
+        return total / (len(members[a]) * len(members[b]))
 
-    trace = _merge_loop(members, similarity_of, lambda a, b: None, dt)
+    trace = _merge_loop(members, matrix, similarity_of, lambda a, b: None, dt)
     return [members[c] for c in sorted(members)], trace
 
 
@@ -189,15 +193,10 @@ def cluster_series(series_list, cfg: PipelineConfig, matrix: SimilarityMatrix):
     if sorted(matrix.book_ids) != sorted(series_by_id):
         raise ValueError("matrix book_ids do not match the series list")
     dt = resolve_threshold(matrix, cfg)
-    pos = {book_id: i for i, book_id in enumerate(matrix.book_ids)}
     members = {book_id: [book_id] for book_id in series_by_id}
     reps = dict(series_by_id)
 
     def similarity_of(a, b):
-        # Two singletons read the matrix in place; it is symmetric, so
-        # the order of a and b does not matter.
-        if len(members[a]) == 1 and len(members[b]) == 1:
-            return matrix.values[pos[a]][pos[b]]
         return score(reps[a], reps[b], cfg.length_ratio_limit)
 
     def on_merge(a, b):
@@ -205,7 +204,7 @@ def cluster_series(series_list, cfg: PipelineConfig, matrix: SimilarityMatrix):
                                cfg.length_ratio_limit)
         del reps[b]
 
-    trace = _merge_loop(members, similarity_of, on_merge, dt)
+    trace = _merge_loop(members, matrix, similarity_of, on_merge, dt)
     clusters = [Cluster(cid, members[cid], reps[cid]) for cid in sorted(members)]
     return clusters, dt, trace
 

@@ -15,6 +15,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import compress
 from operator import lt
 from pathlib import Path
@@ -225,7 +226,12 @@ def default_lexicon_path() -> Path:
     return Path(__file__).parent / "data" / "default_lexicon.tsv"
 
 
+@cache
 def load_default_lexicon() -> dict:
+    """The packaged lexicon, parsed once per process: every call returns one dict.
+
+    It is shared, so read it and never change it; edit a copy instead.
+    """
     return load_lexicon(default_lexicon_path())
 
 

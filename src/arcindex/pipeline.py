@@ -120,20 +120,6 @@ def analyze_corpus(docs, cfg: PipelineConfig,
     return analyses, failures
 
 
-def _cluster_corpus(docs, cfg, lexicon, aliases, skip_errors=False):
-    """Analyze, score every pair and cluster: the one corpus driver.
-
-    Returns (analyses, failures, matrix, clusters, dynamic threshold,
-    merge trace).
-    """
-    analyses, failures = analyze_corpus(docs, cfg, lexicon=lexicon,
-                                        aliases=aliases, skip_errors=skip_errors)
-    series_list = [a.series for a in analyses]
-    matrix = spsi_matrix(series_list, cfg.length_ratio_limit)
-    clusters, dt, trace = cluster_series(series_list, cfg, matrix=matrix)
-    return analyses, failures, matrix, clusters, dt, trace
-
-
 @dataclass
 class CorpusResult:
     analyses: list
@@ -149,9 +135,16 @@ def build_from_documents(docs, cfg: PipelineConfig,
                          lexicon: dict | None = None,
                          aliases: AliasTable | None = None,
                          skip_errors: bool = False) -> CorpusResult:
-    """Documents to searchable catalogue in one pass."""
-    analyses, failures, matrix, clusters, dt, trace = _cluster_corpus(
-        docs, cfg, lexicon, aliases, skip_errors)
+    """Documents to searchable catalogue in one pass: the one corpus driver.
+
+    Analyzes every book, scores every pair, clusters the series and
+    assembles the catalogue.
+    """
+    analyses, failures = analyze_corpus(docs, cfg, lexicon=lexicon,
+                                        aliases=aliases, skip_errors=skip_errors)
+    series_list = [a.series for a in analyses]
+    matrix = spsi_matrix(series_list, cfg.length_ratio_limit)
+    clusters, dt, trace = cluster_series(series_list, cfg, matrix=matrix)
     book_meta = {a.book_id: (a.title, a.author) for a in analyses}
     catalogue = build_catalogue(clusters, {a.book_id: a.series for a in analyses},
                                 cfg, book_meta)
@@ -196,14 +189,17 @@ def evaluate(docs, labels: dict, cfg: PipelineConfig,
              aliases: AliasTable | None = None) -> EvaluationReport:
     """Cluster three ways and score each against reference labels.
 
-    The two lexical baselines cluster their own cosine matrices with
+    The progressions go through ``build_from_documents``, the one corpus
+    driver. The two lexical baselines cluster their own cosine matrices with
     the same average-linkage procedure; their thresholds adapt to each
     matrix because cosine and progression similarity live on different
     scales.
     """
-    _, _, _, clusters, dt, _ = _cluster_corpus(docs, cfg, lexicon, aliases)
-    partition = [list(c.members) for c in clusters]
+    result = build_from_documents(docs, cfg, lexicon, aliases)
+    partition = [list(c.members) for c in result.clusters]
     progression = agreement(partition, labels, method="sentiment-progression")
+    progression_dt = result.dynamic_threshold
+    del result              # free the SPSI matrix before the baselines build theirs
 
     adaptive = cfg.replace(dt_mode="adaptive")
     baseline_dts = {}
@@ -222,7 +218,7 @@ def evaluate(docs, labels: dict, cfg: PipelineConfig,
         progression=progression,
         metadata_baseline=reports["tfidf-metadata"],
         summary_baseline=reports["tfidf-summary"],
-        progression_dt=dt,
+        progression_dt=progression_dt,
         baseline_dts=baseline_dts,
     )
 
@@ -249,12 +245,18 @@ def load_corpus_dir(path):
     ``summaries.tsv`` in the seven-column dump format for metadata,
     optional ``aliases.tsv``. Returns (documents, aliases or None).
     """
+    return _load_corpus_dir(path)[:2]
+
+
+def _load_corpus_dir(path):
+    """``load_corpus_dir``'s (documents, aliases), then the skipped summary rows."""
     root = Path(path)
     books_dir = root / "books" if (root / "books").is_dir() else root
     meta = {}
+    skipped = 0
     tsv = root / "summaries.tsv"
     if tsv.is_file():
-        rows, _skipped = _summary_rows(tsv)
+        rows, skipped = _summary_rows(tsv)
         meta = {book_id: rest for book_id, *rest in rows}
     docs = []
     for text_path in sorted(books_dir.glob("*.txt")):
@@ -268,4 +270,4 @@ def load_corpus_dir(path):
         docs.append(doc)
     aliases_path = root / "aliases.tsv"
     aliases = load_aliases(aliases_path) if aliases_path.is_file() else None
-    return docs, aliases
+    return docs, aliases, skipped

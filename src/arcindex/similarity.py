@@ -193,6 +193,9 @@ def read_matrix_csv(path) -> SimilarityMatrix:
         raise FormatError(f"{path}: empty matrix")
     ids = [c.strip() for c in rows[0][1:]]
     n = len(ids)
+    if len(set(ids)) != n:
+        repeated = next(book_id for i, book_id in enumerate(ids) if book_id in ids[:i])
+        raise FormatError(f"{path}: book id {repeated!r} is repeated in the header")
     if len(rows) - 1 != n:
         raise FormatError(f"{path}: header names {n} books but {len(rows) - 1} rows follow")
     values = []

@@ -72,6 +72,37 @@ def ref_average_linkage(pair_sims, ids, dt):
     return partition, trace
 
 
+def ref_agreement(partition, labels):
+    """(agreed pairs, pairs, pairwise agreement, purity) by looping over pairs.
+
+    A book listed in more than one cluster belongs to the last one for
+    the pairs; purity counts it in every cluster that lists it, over
+    the number of distinct books.
+    """
+    assignment = {}
+    for idx, members in enumerate(partition):
+        for book_id in members:
+            assignment[book_id] = idx
+    books = sorted(assignment)
+    agreed = total = 0
+    for a, b in combinations(books, 2):
+        total += 1
+        same_cluster = assignment[a] == assignment[b]
+        same_label = labels[a] == labels[b]
+        if same_cluster == same_label:
+            agreed += 1
+    majority_total = 0
+    for members in partition:
+        counts = {}
+        for book_id in members:
+            label = labels[book_id]
+            counts[label] = counts.get(label, 0) + 1
+        if counts:
+            majority_total += max(counts.values())
+    return (agreed, total, agreed / total if total else 1.0,
+            majority_total / len(books) if books else 1.0)
+
+
 def ref_adaptive_threshold(pair_sims):
     """mean + half a population standard deviation of the off-diagonal."""
     values = list(pair_sims.values())

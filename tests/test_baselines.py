@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from arcindex.baselines import (agreement, baseline1_vectors, baseline2_vectors,
                                 cosine, similarity_matrix_from_vectors)
@@ -8,6 +10,8 @@ from arcindex.clustering import cluster_matrix
 from arcindex.errors import MissingLabel, MissingText
 from arcindex.ingest import BookDocument, tokenize
 from arcindex.similarity import SimilarityMatrix
+
+from oracle_reference import ref_agreement
 
 
 def _doc(book_id, title="T", body="", author=None, **metadata):
@@ -175,3 +179,25 @@ def test_agreement_report_serializes():
     assert data["method"] == "m"
     assert data["agreed_pairs"] == 16
     assert data["total_pairs"] == 28
+
+
+@st.composite
+def _labelled_partitions(draw):
+    """A partition that may list a book twice or hold empty clusters, with labels."""
+    books = draw(st.lists(st.text("abcdef", min_size=1, max_size=2), unique=True,
+                          max_size=10))
+    labels = {b: draw(st.one_of(st.integers(0, 2), st.sampled_from("xy"))) for b in books}
+    cluster = st.lists(st.sampled_from(books), max_size=6) if books else st.just([])
+    return draw(st.lists(cluster, max_size=5)), labels
+
+
+@settings(max_examples=200, deadline=None)
+@given(_labelled_partitions())
+@example(([["a", "b"], ["b", "c"], []], {"a": 1, "b": 1, "c": "x", "d": 0}))
+def test_counted_agreement_equals_the_pair_loop(case):
+    partition, labels = case
+    report = agreement(partition, labels)
+    agreed, total, pairwise, purity = ref_agreement(partition, labels)
+    assert (report.agreed_count, report.pair_count) == (agreed, total)
+    assert report.pairwise_agreement.hex() == pairwise.hex()
+    assert report.purity.hex() == purity.hex()

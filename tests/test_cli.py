@@ -150,6 +150,14 @@ def test_ingest_reports_skipped_tsv_rows(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["documents"] == 1
     assert payload["skipped"] == 1
+    # A corpus directory reports the skipped rows of its summaries.tsv too.
+    (tmp_path / "1.txt").write_text("Mira walked. Mira ran.\n", encoding="utf-8")
+    assert main(["ingest", str(tmp_path)]) == 0
+    assert "ingested 1 document(s), 4 tokens, skipped 1 malformed row(s)" in \
+        capsys.readouterr().out
+    assert main(["ingest", str(tmp_path), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["documents"], payload["skipped"]) == (1, 1)
 
 
 def test_pivots_lists_blocks_for_one_book(cli_corpus, cli_truth, capsys):
@@ -309,6 +317,32 @@ def test_non_finite_inputs_are_data_errors(tmp_path, capsys):
     series.write_text("0.0,0.2\n0.5,nan\n1.0,0.8\n", encoding="utf-8")
     assert main(["spsi", "--series-a", str(series), "--series-b", str(series)]) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+SPSI_A = ["spsi", "--series-a", "a.csv", "--series-b", "a.csv"]
+CLUSTER_M = ["cluster", "--matrix", "m.csv"]
+
+
+@pytest.mark.parametrize("name, text, argv, message", [
+    ("a.csv", "0.0,0.2,primary,x\n1.0,0.3\n", SPSI_A, "expected 2 or 3 columns"),
+    ("a.csv", "0.0,0.2\n1.0,0.3,guess\n", SPSI_A, "unknown provenance 'guess'"),
+    ("m.csv", "book_id,a\n", CLUSTER_M, "empty matrix"),
+    ("m.csv", "book_id,a,b\na,1.0,0.5\n", CLUSTER_M, "header names 2 books but 1 rows"),
+    ("m.csv", "book_id,a,b\na,1.0,high\nb,0.5,1.0\n", CLUSTER_M, "non-numeric matrix entry"),
+    ("m.csv", "book_id,a,b\nb,1.0,0.5\na,0.5,1.0\n", CLUSTER_M, "row labels do not match"),
+    ("m.csv", "book_id,a,a,b\na,1,0.9,0\na,0.9,1,0\nb,0,0,1\n", CLUSTER_M,
+     "book id 'a' is repeated"),
+    ("s.json", '{"format": "arcindex-store", }', ["ingest", "s.json"], "invalid JSON"),
+], ids=["series-columns", "series-provenance", "matrix-empty", "matrix-row-count",
+        "matrix-non-numeric", "matrix-row-labels", "matrix-repeated-id", "store-json"])
+def test_malformed_reader_input_is_a_data_error(tmp_path, capsys, name, text, argv, message):
+    (tmp_path / name).write_text(text, encoding="utf-8")
+    assert main([str(tmp_path / a) if a == name else a for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert str(tmp_path / name) in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_negative_series_values_are_data_errors(cli_corpus, tmp_path, capsys):

@@ -157,6 +157,16 @@ def test_matrix_trace_scores_the_merged_cluster_first():
     assert [(a, b, repr(s)) for a, b, s in trace] == RANDOM12_TRACE
 
 
+def test_two_books_first_score_the_row_of_the_smaller_id():
+    # Not symmetric, and not in id order: (a, c) reads row a, column c.
+    ids = ["c", "a", "b"]
+    values = [[1.0, 0.2, 0.3],
+              [0.9, 1.0, 0.8],
+              [0.1, 0.7, 1.0]]
+    _, trace = cluster_matrix(SimilarityMatrix(ids, values), dt=0.5)
+    assert trace == [("a", "c", 0.9), ("a", "b", (0.8 + 0.3) / 2)]
+
+
 def test_series_merge_trace_is_pinned(synth_outcome):
     result = synth_outcome["result"]
     trace = result.merge_trace

@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -108,6 +109,38 @@ def test_load_plain_text_rejects_empty_files(tmp_path):
     path.write_text("\n\n", encoding="utf-8")
     with pytest.raises(EmptyDocument):
         load_plain_text(path, book_id="b1")
+
+
+@pytest.mark.parametrize("loader, error, text, message, attrs", [
+    (read_series_csv, FormatError, "0.0,0.2,primary,x\n1.0,0.3\n",
+     "row 1: expected 2 or 3 columns", {}),
+    (read_series_csv, FormatError, "0.0,0.2\n1.0,0.3,guess\n",
+     "row 2: unknown provenance 'guess'", {}),
+    (read_matrix_csv, FormatError, "book_id,a\n", "empty matrix", {}),
+    (read_matrix_csv, FormatError, "book_id,a,b\na,1.0,0.5\n",
+     "header names 2 books but 1 rows follow", {}),
+    (read_matrix_csv, FormatError, "book_id,a,b\na,1.0,high\nb,0.5,1.0\n",
+     "non-numeric matrix entry", {}),
+    (read_matrix_csv, FormatError, "book_id,a,b\nb,1.0,0.5\na,0.5,1.0\n",
+     "row labels do not match header labels", {}),
+    (read_matrix_csv, FormatError, "book_id,a,a,b\na,1,0,0\na,0,1,0\nb,0,0,1\n",
+     "book id 'a' is repeated", {}),
+    (load_store, FormatError, '{"format": "arcindex-store", }', "invalid JSON", {"offset": 29}),
+    (load_lexicon, LexiconError, "fine\t0.2\nodd\t0.1\textra\n",
+     "line 2: expected term<TAB>polarity", {"line_no": 2}),
+], ids=["series-columns", "series-provenance", "matrix-empty", "matrix-row-count",
+        "matrix-non-numeric", "matrix-row-labels", "matrix-repeated-id", "store-json",
+        "lexicon-fields"])
+def test_malformed_input_raises_its_typed_error(tmp_path, loader, error, text, message,
+                                                attrs):
+    path = tmp_path / "input"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(error, match=re.escape(message)) as excinfo:
+        loader(path)
+    if error is FormatError:
+        assert str(path) in str(excinfo.value)
+    for name, value in attrs.items():
+        assert getattr(excinfo.value, name) == value
 
 
 def test_segment_blocks_tiles_the_token_stream():

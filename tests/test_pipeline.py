@@ -144,6 +144,26 @@ def test_evaluate_scores_progression_and_baselines(synth_small, synth_cfg):
     json.dumps(report.to_dict())
 
 
+def test_index_then_evaluate_analyses_each_book_once(synth_small, synth_cfg, monkeypatch):
+    # Neither call is given a lexicon: both take the one default lexicon,
+    # so evaluate finds the analyses that indexing kept.
+    import arcindex.pipeline as pipeline_mod
+
+    runs = []
+    real = pipeline_mod._analyze
+
+    def counted(doc, *args):
+        runs.append(doc.book_id)
+        return real(doc, *args)
+
+    monkeypatch.setattr(pipeline_mod, "_analyze", counted)
+    docs = [replace(d) for d in synth_small.documents]
+    build_from_documents(docs, synth_cfg)
+    evaluate(docs, synth_small.labels, synth_cfg)
+    assert runs == [d.book_id for d in docs]
+    assert load_default_lexicon() is load_default_lexicon()
+
+
 def test_load_corpus_dir_merges_summary_metadata(tmp_path, synth_small, monkeypatch):
     write_corpus(synth_small, tmp_path)
     tokenized = []
