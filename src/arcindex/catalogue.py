@@ -12,12 +12,13 @@ pivots, representatives are means), so points are stored without
 provenance.
 
 ``load`` checks what it reads: the config must be a valid
-:class:`PipelineConfig`, and every series is checked as a series CSV
-is (finite, non-negative values, strictly increasing positions, at
-least 2 points). Book and cluster ids, titles and authors must be
-strings (an author may be null), ids unique, each entry must name a
-stored cluster and each cluster must be named by an entry. Anything else is a ``FormatError`` naming the file;
-a 1.x catalogue is a ``VersionError``.
+:class:`PipelineConfig`, and every stored position and value an ``int``
+or a ``float`` (not a ``bool``), read as a float; each series then
+checks itself when it is made, as every :class:`SentimentSeries` does.
+Book and cluster ids, titles and authors must be strings (an author may
+be null), ids unique, each entry must name a stored cluster and each
+cluster must be named by an entry. Anything else is a ``FormatError``
+naming the file; a 1.x catalogue is a ``VersionError``.
 """
 
 from __future__ import annotations
@@ -30,9 +31,10 @@ from pathlib import Path
 
 from .clustering import Cluster
 from .config import PipelineConfig
-from .errors import ConfigError, EmptyCatalogue, FormatError, UnknownBook, VersionError
+from .errors import (ConfigError, DegenerateSeries, EmptyCatalogue, FormatError, UnknownBook,
+                     VersionError)
 from .ingest import _not_utf8
-from .series import SentimentSeries, _checked_points
+from .series import SentimentSeries, SeriesPoint
 from .similarity import score
 
 FORMAT_VERSION = "2.0"
@@ -105,10 +107,16 @@ def _series_payload(series: SentimentSeries) -> list:
 
 
 def _series_from_payload(book_id: str, payload) -> SentimentSeries:
-    try:
-        points = _checked_points(payload)
-    except ValueError as exc:
-        raise ValueError(f"series of {book_id!r}: {exc}") from None
+    points = []
+    for row in payload:
+        position, value = row["position"], row["value"]
+        if type(position) is not float or type(value) is not float:
+            # Exact type tests: they turn a bool away, which isinstance would take.
+            if type(position) not in (int, float) or type(value) not in (int, float):
+                raise ValueError(f"series of {book_id!r}: point {len(points) + 1}: "
+                                 "non-numeric position/value")
+            position, value = float(position), float(value)
+        points.append(SeriesPoint(position, value))
     return SentimentSeries(book_id=book_id, points=points)
 
 
@@ -210,7 +218,7 @@ def load(path) -> Catalogue:
         for cluster_id, ids in members.items():
             if not ids:
                 raise ValueError(f"no entry names cluster {cluster_id!r}")
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, DegenerateSeries) as exc:
         raise FormatError(f"{path}: malformed catalogue structure: {exc}") from exc
     clusters = [Cluster(cid, sorted(members[cid]), rep) for cid, rep in reps.items()]
     return Catalogue(format_version=version, config=config,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -21,8 +22,8 @@ from .clustering import cluster_matrix, cluster_report, resolve_threshold
 from .config import PipelineConfig, format_config, load_config, parse_config_text
 from .errors import ArcIndexError, ConfigError
 from .ingest import load_cmu_summaries, load_plain_text, load_store, save_store
-from .pipeline import (_load_corpus_dir, analyze_corpus, build_from_documents, evaluate,
-                       load_labels)
+from .pipeline import (_load_corpus_dir, _progression, analyze_corpus, build_from_documents,
+                       evaluate, load_labels)
 from .series import align_lengths, export_series_csv, read_series_csv
 from .similarity import read_matrix_csv, spsi_breakdown, spsi_matrix, write_matrix_csv
 from .synth import DEFAULT_TEMPLATES, GenSpec, generate, write_corpus
@@ -219,6 +220,9 @@ def _cmd_series(args, cfg):
     analyses = _analyse_input(args, cfg)
     out_dir = Path(args.output) if args.output else None
     if out_dir:
+        for a in analyses:
+            if a.book_id in ("", ".", "..") or any(c in a.book_id for c in ("/", os.sep, "\0")):
+                raise ArcIndexError(f"book id {a.book_id!r} is not a plain file name")
         out_dir.mkdir(parents=True, exist_ok=True)
     payload = {}
     lines = []
@@ -361,10 +365,7 @@ def _cmd_eval(args, cfg):
         ]
         _emit(args, payload, lines)
         return 0
-    from .baselines import agreement
-    result = build_from_documents(docs, cfg, aliases=aliases)
-    partition = [list(c.members) for c in result.clusters]
-    report = agreement(partition, labels, method="sentiment-progression")
+    report = _progression(docs, labels, cfg, aliases=aliases)[0]
     payload = report.to_dict()
     lines = [f"progression: purity {report.purity:.4f}, "
              f"pairwise {report.pairwise_agreement:.4f}"]
@@ -429,7 +430,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
+    except OSError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except ArcIndexError as exc:

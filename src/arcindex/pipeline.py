@@ -195,12 +195,7 @@ def evaluate(docs, labels: dict, cfg: PipelineConfig,
     matrix because cosine and progression similarity live on different
     scales.
     """
-    result = build_from_documents(docs, cfg, lexicon, aliases)
-    partition = [list(c.members) for c in result.clusters]
-    progression = agreement(partition, labels, method="sentiment-progression")
-    progression_dt = result.dynamic_threshold
-    del result              # free the SPSI matrix before the baselines build theirs
-
+    progression, progression_dt = _progression(docs, labels, cfg, lexicon, aliases)
     adaptive = cfg.replace(dt_mode="adaptive")
     baseline_dts = {}
     reports = {}
@@ -221,6 +216,18 @@ def evaluate(docs, labels: dict, cfg: PipelineConfig,
         progression_dt=progression_dt,
         baseline_dts=baseline_dts,
     )
+
+
+def _progression(docs, labels: dict, cfg: PipelineConfig, lexicon=None, aliases=None):
+    """The progression clusters' agreement report and their threshold.
+
+    The corpus result, SPSI matrix included, is freed on return, before
+    ``evaluate`` builds the baselines' matrices.
+    """
+    result = build_from_documents(docs, cfg, lexicon, aliases)
+    partition = [list(c.members) for c in result.clusters]
+    return (agreement(partition, labels, method="sentiment-progression"),
+            result.dynamic_threshold)
 
 
 def load_labels(path) -> dict:

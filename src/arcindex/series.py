@@ -11,8 +11,9 @@ with the gap's midpoint otherwise.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field
+from math import fsum, inf, isfinite
+from operator import lt
 from pathlib import Path
 
 from .errors import DegenerateSeries, FormatError, TooFewPivots
@@ -34,13 +35,16 @@ class SeriesPoint:
 
 @dataclass
 class SentimentSeries:
-    """A book's progression series.
+    """A book's progression series, checked when it is made.
 
-    A series is a value once it is first aligned or scored:
-    ``align_lengths`` keeps every copy it grows from this series, and
-    ``similarity.score`` keeps its values as a tuple with their
-    ``fsum``, so do not mutate ``points`` or ``context`` after that.
-    ``values()`` still builds a fresh list from ``points``.
+    A series has at least 2 points, every position and value is finite,
+    no value is negative and positions strictly increase; otherwise
+    construction raises ``DegenerateSeries`` naming the book and the
+    first bad point. The series then keeps its values as a tuple with
+    their ``fsum``, which ``similarity.score`` reads, and
+    ``align_lengths`` keeps every copy it grows from it. So a series is
+    a value: do not mutate ``points`` or ``context``. ``values()``
+    still builds a fresh list from ``points``.
     """
     book_id: str
     points: list
@@ -51,15 +55,42 @@ class SentimentSeries:
     context: list | None = field(default=None, compare=False, repr=False)
     # Grown copies keyed by (target length, promoted); see align_lengths.
     _grown: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    # The values as a tuple and their fsum, taken at the first scoring.
-    _values: tuple | None = field(default=None, init=False, compare=False, repr=False)
-    _fsum: float = field(default=0.0, init=False, compare=False, repr=False)
+    # The values as a tuple and their fsum, taken when the series is made.
+    _values: tuple = field(init=False, compare=False, repr=False)
+    _fsum: float = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        positions = [p.position for p in self.points]
+        # A tuple, not a list: CPython's GC stops tracking a tuple of floats,
+        # so the kept values add no collection work.
+        values = tuple([p.value for p in self.points])
+        # Positions that strictly increase between finite ends are all finite:
+        # a NaN fails every comparison.
+        if not (len(values) >= 2 and all(map(isfinite, values)) and min(values) >= 0.0
+                and isfinite(positions[0]) and isfinite(positions[-1])
+                and all(map(lt, positions, positions[1:]))):
+            raise DegenerateSeries(f"{self.book_id}: {_fault(self.points)}")
+        self._values, self._fsum = values, fsum(values)
 
     def __len__(self) -> int:
         return len(self.points)
 
     def values(self) -> list:
         return [p.value for p in self.points]
+
+
+def _fault(points) -> str:
+    """The first thing wrong with points that a series refuses."""
+    last = -inf
+    for i, p in enumerate(points, start=1):
+        if not (isfinite(p.position) and isfinite(p.value)):
+            return f"point {i}: non-finite position/value"
+        if p.value < 0.0:
+            return f"point {i}: negative value {p.value}"
+        if p.position <= last:
+            return f"point {i}: positions must strictly increase"
+        last = p.position
+    return f"{len(points)} point(s), need at least 2"
 
 
 def build_series(book_id: str, pivots, context=None) -> SentimentSeries:
@@ -149,8 +180,6 @@ def align_lengths(s1: SentimentSeries, s2: SentimentSeries, ratio_limit: float):
     n1, n2 = len(s1.points), len(s2.points)
     if n1 == n2:
         return s1, s2
-    if n1 < 2 or n2 < 2:
-        raise DegenerateSeries("cannot align a series with fewer than 2 points")
     longer, shorter = (s1, s2) if n1 > n2 else (s2, s1)
     target = len(longer)
     promoted = (target - len(shorter)) / target > ratio_limit
@@ -172,41 +201,10 @@ def export_series_csv(series: SentimentSeries, path) -> None:
             writer.writerow([repr(p.position), repr(p.value), p.provenance])
 
 
-def _checked_points(rows) -> list:
-    """Primary SeriesPoints from mappings with a ``position`` and a ``value``.
-
-    Raises ValueError, naming the point, unless every position and value
-    is a finite number (an ``int`` or a ``float``, not a ``bool``), no
-    value is negative, positions strictly increase, and there are at
-    least 2 points. The catalogue's saved points are such mappings.
-    """
-    points = []
-    last = -math.inf
-    for row in rows:
-        position, value = row["position"], row["value"]
-        # Exact type tests: they turn a bool away, which isinstance would take.
-        if type(position) is not float or type(value) is not float:
-            if type(position) not in (int, float) or type(value) not in (int, float):
-                raise ValueError(f"point {len(points) + 1}: non-numeric position/value")
-            position, value = float(position), float(value)
-        if not (math.isfinite(position) and math.isfinite(value)):
-            raise ValueError(f"point {len(points) + 1}: non-finite position/value")
-        if value < 0.0:
-            raise ValueError(f"point {len(points) + 1}: negative value {value}")
-        if position <= last:
-            raise ValueError(f"point {len(points) + 1}: positions must strictly increase")
-        last = position
-        points.append(SeriesPoint(position, value))
-    if len(points) < 2:
-        raise ValueError(f"{len(points)} point(s), need at least 2")
-    return points
-
-
 def read_series_csv(path, book_id: str | None = None) -> SentimentSeries:
     """Read ``position,value[,provenance]`` rows; header optional."""
     path = Path(path)
-    rows = []
-    provenances = []
+    points = []
     lines = list(csv.reader(_utf8_lines(path, FormatError, newline="")))
     for row_no, row in enumerate(lines, start=1):
         if not row or not "".join(row).strip():
@@ -219,14 +217,10 @@ def read_series_csv(path, book_id: str | None = None) -> SentimentSeries:
         if provenance not in _PROVENANCE:
             raise FormatError(f"{path}: row {row_no}: unknown provenance {provenance!r}")
         try:
-            rows.append({"position": float(row[0]), "value": float(row[1])})
+            points.append(SeriesPoint(float(row[0]), float(row[1]), provenance))
         except ValueError:
             raise FormatError(f"{path}: row {row_no}: non-numeric position/value") from None
-        provenances.append(provenance)
     try:
-        points = _checked_points(rows)
-    except ValueError as exc:
+        return SentimentSeries(book_id=book_id or path.stem, points=points)
+    except DegenerateSeries as exc:
         raise FormatError(f"{path}: {exc}") from None
-    points = [SeriesPoint(p.position, p.value, provenance)
-              for p, provenance in zip(points, provenances)]
-    return SentimentSeries(book_id=book_id or path.stem, points=points)

@@ -34,12 +34,12 @@ __all__ = [
 ]
 
 
-def _check_values(values, where: str = "") -> None:
+def _check_values(values) -> None:
     """Raise DegenerateSeries unless there are 2+ values, all finite and >= 0."""
     if len(values) < 2:
-        raise DegenerateSeries(f"{where}series must have at least 2 points")
+        raise DegenerateSeries("series must have at least 2 points")
     if not all(map(isfinite, values)) or min(values) < 0.0:
-        raise DegenerateSeries(f"{where}values must be finite and non-negative")
+        raise DegenerateSeries("values must be finite and non-negative")
 
 
 def _check_pair(s1, s2):
@@ -47,16 +47,6 @@ def _check_pair(s1, s2):
         raise LengthMismatch(f"series lengths differ: {len(s1)} vs {len(s2)}")
     _check_values(s1)
     _check_values(s2)
-
-
-def _take_values(series: SentimentSeries) -> tuple:
-    """Check the series' values once and keep them on it with their fsum."""
-    # A tuple, not a list: CPython's GC stops tracking a tuple of floats,
-    # so the kept values add no collection work.
-    values = tuple([p.value for p in series.points])
-    _check_values(values, f"{series.book_id}: ")
-    series._values, series._fsum = values, fsum(values)
-    return values
 
 
 def _evaluate(s1, s2, sum1: float) -> tuple:
@@ -107,17 +97,15 @@ def score(s1: SentimentSeries, s2: SentimentSeries, ratio_limit: float) -> float
     """SPSI of two series after aligning them to a common length.
 
     Every pairwise score of the pipeline (matrix, clustering, catalogue
-    search and nearest cluster) goes through here. It reads each aligned
-    series' values as a tuple with their ``fsum``, taken and checked at
-    that series' first scoring and kept on it, and orders the two
-    canonically as ``spsi`` does, so the bits are ``spsi``'s.
+    search and nearest cluster) goes through here. It reads the values
+    and ``fsum`` that each aligned series checked and kept when it was
+    made, and orders the two canonically as ``spsi`` does, so the bits
+    are ``spsi``'s.
     """
     a, b = align_lengths(s1, s2, ratio_limit)
-    va = a._values or _take_values(a)
-    vb = b._values or _take_values(b)
-    if vb < va:
-        return _evaluate(vb, va, b._fsum)[-1]
-    return _evaluate(va, vb, a._fsum)[-1]
+    if b._values < a._values:
+        return _evaluate(b._values, a._values, b._fsum)[-1]
+    return _evaluate(a._values, b._values, a._fsum)[-1]
 
 
 @dataclass(frozen=True)
@@ -167,8 +155,8 @@ def spsi_matrix(series_list, ratio_limit: float) -> SimilarityMatrix:
         for j in range(i + 1, n):
             try:
                 value = score(series_list[i], series_list[j], ratio_limit)
-            except (LengthMismatch, DegenerateSeries) as exc:
-                raise type(exc)(
+            except DegenerateSeries as exc:
+                raise DegenerateSeries(
                     f"pair ({series_list[i].book_id}, {series_list[j].book_id}): {exc}"
                 ) from exc
             values[i][j] = value

@@ -155,6 +155,34 @@ def ref_resample_secondary(points, blocks, deficit):
     return points
 
 
+def ref_checked_points(rows):
+    """(position, value) pairs of float from mappings with a ``position`` and a ``value``.
+
+    Raises ValueError, naming the point, unless every position and value
+    is a finite number (an ``int`` or a ``float``, not a ``bool``), no
+    value is negative, positions strictly increase, and there are at
+    least 2 points.
+    """
+    points = []
+    last = -math.inf
+    for row in rows:
+        position, value = row["position"], row["value"]
+        if type(position) not in (int, float) or type(value) not in (int, float):
+            raise ValueError(f"point {len(points) + 1}: non-numeric position/value")
+        position, value = float(position), float(value)
+        if not (math.isfinite(position) and math.isfinite(value)):
+            raise ValueError(f"point {len(points) + 1}: non-finite position/value")
+        if value < 0.0:
+            raise ValueError(f"point {len(points) + 1}: negative value {value}")
+        if position <= last:
+            raise ValueError(f"point {len(points) + 1}: positions must strictly increase")
+        last = position
+        points.append((position, value))
+    if len(points) < 2:
+        raise ValueError(f"{len(points)} point(s), need at least 2")
+    return points
+
+
 @dataclass(slots=True)
 class RefToken:
     text: str               # lowercased surface form

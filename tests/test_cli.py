@@ -8,6 +8,7 @@ import pytest
 
 from arcindex.cli import main
 from arcindex.config import PipelineConfig, parse_config_text
+from arcindex.pipeline import evaluate, load_corpus_dir, load_labels
 from arcindex.similarity import SimilarityMatrix, read_matrix_csv, write_matrix_csv
 
 from reference_data import GRID_IDS, grid_matrix_values
@@ -179,6 +180,24 @@ def test_series_exports_one_csv_per_book(cli_corpus, tmp_path, capsys):
                      json.load(open(cli_corpus / "groundtruth.json"))["books"])]
 
 
+@pytest.mark.parametrize("book_id", ["../escaped", "ABS", "sub/escaped", "..", ".", "",
+                                     "nul\0byte"])
+def test_series_refuses_a_book_id_that_is_not_a_file_name(cli_corpus, tmp_path, capsys,
+                                                          book_id):
+    store = tmp_path / "store.json"
+    assert main(["ingest", str(cli_corpus), "-o", str(store)]) == 0
+    payload = json.loads(store.read_text(encoding="utf-8"))
+    # An absolute id inside tmp_path, so that a missed one writes where it is seen.
+    payload["documents"][0]["book_id"] = str(tmp_path / "abs") if book_id == "ABS" else book_id
+    store.write_text(json.dumps(payload), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["series", str(store), "-o", str(tmp_path / "out" / "sub")] + SET_BLOCKS) == 2
+    err = capsys.readouterr().err
+    assert "is not a plain file name" in err
+    assert "Traceback" not in err
+    assert [p.name for p in tmp_path.rglob("*")] == ["store.json"]
+
+
 def test_spsi_of_a_series_with_itself_is_one(cli_corpus, tmp_path, capsys):
     outdir = tmp_path / "series"
     assert main(["series", str(cli_corpus), "-o", str(outdir)] + SET_BLOCKS) == 0
@@ -287,6 +306,17 @@ def test_eval_reports_progression_agreement(cli_corpus, capsys):
     assert "progression: purity 1.0000" in capsys.readouterr().out
 
 
+def test_eval_reports_what_evaluate_reports_for_the_progression(cli_corpus, capsys):
+    labels = cli_corpus / "labels.csv"
+    assert main(["eval", str(cli_corpus), "--labels", str(labels), "--json"]
+                + SET_BLOCKS) == 0
+    payload = json.loads(capsys.readouterr().out)
+    docs, aliases = load_corpus_dir(cli_corpus)
+    cfg = parse_config_text("block_size = 120\ndt = 0.95", base=PipelineConfig()).validate()
+    report = evaluate(docs, load_labels(labels), cfg, aliases=aliases)
+    assert payload == json.loads(json.dumps(report.progression.to_dict()))
+
+
 def test_eval_with_baselines_reports_margins(cli_corpus, capsys):
     labels = cli_corpus / "labels.csv"
     assert main(["eval", str(cli_corpus), "--labels", str(labels),
@@ -386,6 +416,24 @@ def test_undecodable_input_is_a_data_error(tmp_path, capsys, files, argv, code):
     err = capsys.readouterr().err
     assert "is not UTF-8" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["series", "{corpus}", "-o", "{afile}"],
+    ["synth", "-o", "{afile}", *SYNTH_ARGS],
+    ["ingest", "{corpus}", "-o", "{afile}/x.json"],
+    ["spsi", "{corpus}", "-o", "{afile}/m.csv"],
+    ["index", "{corpus}", "-o", "{afile}/c.json"],
+], ids=["series", "synth", "ingest", "spsi", "index"])
+def test_an_output_path_through_a_file_is_a_data_error(cli_corpus, tmp_path, capsys, argv):
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n", encoding="utf-8")
+    args = [a.format(corpus=cli_corpus, afile=afile) for a in argv]
+    assert main(args + SET_BLOCKS) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err
+    assert "Traceback" not in err
+    assert afile.read_text(encoding="utf-8") == "kept\n"
 
 
 def test_search_rejects_an_overflowing_catalogue_number(cli_corpus, tmp_path, capsys):

@@ -1,16 +1,20 @@
+import json
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arcindex.catalogue import build_catalogue, load, save
+from arcindex.clustering import Cluster
 from arcindex.config import PipelineConfig
 from arcindex.errors import DegenerateSeries, FormatError, TooFewPivots
 from arcindex.pivots import PivotPoint
 from arcindex.series import (INTERPOLATED, PRIMARY, SECONDARY, SentimentSeries,
-                             SeriesPoint, _checked_points, _grow, align_lengths,
-                             build_series, export_series_csv, read_series_csv)
-from oracle_reference import ref_resample_secondary
+                             SeriesPoint, _grow, align_lengths, build_series,
+                             export_series_csv, read_series_csv)
+from oracle_reference import ref_checked_points, ref_resample_secondary
 
 RATIO = PipelineConfig().length_ratio_limit
 
@@ -252,10 +256,43 @@ def test_alignment_memo_stays_out_of_equality_and_repr():
 
 
 def test_alignment_rejects_single_point_series():
-    a = _series("a", [0.0, 0.5, 1.0], [0.1, 0.2, 0.3])
-    b = SentimentSeries(book_id="b", points=[SeriesPoint(0.5, 0.5)])
-    with pytest.raises(DegenerateSeries):
-        align_lengths(a, b, RATIO)
+    # A series of fewer than 2 points cannot be made, so none reaches alignment.
+    with pytest.raises(DegenerateSeries, match=r"^b: 1 point\(s\), need at least 2$"):
+        SentimentSeries(book_id="b", points=[SeriesPoint(0.5, 0.5)])
+    with pytest.raises(DegenerateSeries, match=r"^b: 0 point\(s\), need at least 2$"):
+        SentimentSeries(book_id="b", points=[])
+
+
+# Floats a series must refuse or keep exactly: NaN, infinities, negatives,
+# signed zero, subnormals, and a repeated position.
+_ODD_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, -1.0, -1e-300, -0.0, 0.0,
+                               5e-324, 2.2e-308, 0.5])
+_FLOATS = st.one_of(st.floats(0.0, 1.0), _ODD_FLOATS, st.floats())
+
+
+@st.composite
+def _raw_points(draw):
+    """0-14 (position, value) pairs, their positions sorted or not."""
+    n = draw(st.integers(min_value=0, max_value=14))
+    positions = draw(st.lists(_FLOATS, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        positions.sort()
+    return list(zip(positions, draw(st.lists(_FLOATS, min_size=n, max_size=n))))
+
+
+@settings(max_examples=500, deadline=None)
+@given(points=_raw_points())
+def test_a_series_checks_its_points_as_the_reference_does(points):
+    try:
+        ref_checked_points([{"position": p, "value": v} for p, v in points])
+    except ValueError as exc:
+        with pytest.raises(DegenerateSeries) as excinfo:
+            SentimentSeries(book_id="bk", points=[SeriesPoint(p, v) for p, v in points])
+        assert str(excinfo.value) == f"bk: {exc}"
+        return
+    s = SentimentSeries(book_id="bk", points=[SeriesPoint(p, v) for p, v in points])
+    assert type(s._values) is tuple and s._values == tuple(s.values())
+    assert s._fsum == math.fsum(s.values())
 
 
 def test_series_csv_round_trip(tmp_path):
@@ -306,17 +343,36 @@ def test_series_csv_rejects_non_numeric_rows(tmp_path):
         read_series_csv(path)
 
 
+def _load_stored_points(tmp_path, rows):
+    """The series of a saved one-book catalogue whose stored points are rows.
+
+    The catalogue's loader is where stored points get their type test.
+    """
+    series = _series("bk", [0.0, 1.0], [0.2, 0.4])
+    catalogue = build_catalogue([Cluster("bk", ["bk"], series)], {"bk": series},
+                                PipelineConfig(), {})
+    path = tmp_path / "catalogue.json"
+    save(catalogue, path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload["entries"][0]["series"] = rows
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return load(path).entry("bk").series
+
+
 @pytest.mark.parametrize("bad", ["0.2", True, None, [0.2]],
                          ids=["string", "bool", "null", "list"])
 @pytest.mark.parametrize("field", ["position", "value"])
-def test_checked_points_take_numbers_only(bad, field):
+def test_checked_points_take_numbers_only(tmp_path, bad, field):
     rows = [{"position": 0.0, "value": 0.2}, {"position": 1.0, "value": 0.4}]
     rows[1][field] = bad
-    with pytest.raises(ValueError, match="point 2: non-numeric"):
-        _checked_points(rows)
+    with pytest.raises(FormatError, match="'bk': point 2: non-numeric") as excinfo:
+        _load_stored_points(tmp_path, rows)
+    assert str(tmp_path / "catalogue.json") in str(excinfo.value)
 
 
-def test_checked_points_read_ints_as_floats():
-    points = _checked_points([{"position": 0, "value": 1}, {"position": 1, "value": 0}])
-    assert [(p.position, p.value) for p in points] == [(0.0, 1.0), (1.0, 0.0)]
-    assert all(type(p.position) is float and type(p.value) is float for p in points)
+def test_checked_points_read_ints_as_floats(tmp_path):
+    series = _load_stored_points(tmp_path, [{"position": 0, "value": 1},
+                                            {"position": 1, "value": 0}])
+    assert [(p.position, p.value) for p in series.points] == [(0.0, 1.0), (1.0, 0.0)]
+    assert all(type(p.position) is float and type(p.value) is float for p in series.points)
+    assert all(type(v) is float for v in series._values)

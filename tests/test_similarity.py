@@ -146,14 +146,19 @@ def test_non_finite_or_negative_values_never_reach_the_formula(fn, pair):
 
 @pytest.mark.parametrize("bad", NON_FINITE_OR_NEGATIVE.values(), ids=NON_FINITE_OR_NEGATIVE)
 def test_score_names_the_book_with_bad_values(bad):
-    good = _series("good", [0.5, 0.5, 0.5, 0.5])
-    for length in (3, 4, 5):   # grown, equal, longer
-        bent = _series("bent", bad + [0.5] * (length - 3))
-        for pair in ((bent, good), (good, bent)):
-            with pytest.raises(DegenerateSeries, match="bent: values must be finite"):
-                score(*pair, RATIO)
-    with pytest.raises(DegenerateSeries, match=r"pair \(good, bent\): bent: values"):
-        spsi_matrix([good, _series("bent", bad)], RATIO)
+    # A series checks its values when it is made, so bad ones never reach score.
+    for length in (3, 4, 5):
+        with pytest.raises(DegenerateSeries,
+                           match=r"^bent: point [1-3]: (non-finite|negative value)"):
+            _series("bent", bad + [0.5] * (length - 3))
+
+
+def test_matrix_names_the_pair_whose_gap_is_too_narrow():
+    wide = _series("wide", [0.1, 0.2, 0.3, 0.4])
+    narrow = SentimentSeries(book_id="narrow", points=[
+        SeriesPoint(0.5, 0.2), SeriesPoint(math.nextafter(0.5, 1.0), 0.3)])
+    with pytest.raises(DegenerateSeries, match=r"pair \(wide, narrow\): gap too narrow"):
+        spsi_matrix([wide, narrow], RATIO)
 
 
 def test_length_mismatch_raises():
@@ -262,8 +267,8 @@ def test_score_is_spsi_of_the_aligned_values_bit_for_bit(s1, s2, ratio):
     expected = spsi(*[x.values() for x in align_lengths(s1, s2, ratio)]).hex()
     for first, second in ((s1, s2), (s2, s1)):
         a, b = dataclasses.replace(first), dataclasses.replace(second)
-        assert score(a, b, ratio).hex() == expected   # takes the values
-        assert score(a, b, ratio).hex() == expected   # reads the kept ones
+        assert score(a, b, ratio).hex() == expected
+        assert score(a, b, ratio).hex() == expected
         assert score(b, a, ratio).hex() == expected
 
 
@@ -272,12 +277,12 @@ def test_kept_values_stay_out_of_equality_repr_and_replace():
     twin = _series("a", [0.1, 0.2, 0.3])
     other = _series("b", [0.3, 0.1, 0.2])
     before = repr(s)
-    first = score(s, other, RATIO)
     assert s._values == (0.1, 0.2, 0.3) and s._fsum == math.fsum([0.1, 0.2, 0.3])
+    first = score(s, other, RATIO)
     assert s == twin and repr(s) == before
     assert score(s, other, RATIO) == first
     moved = dataclasses.replace(s, points=[SeriesPoint(p.position, 0.9) for p in s.points])
-    assert moved._values is None
+    assert moved._values == (0.9, 0.9, 0.9) and moved._fsum == math.fsum([0.9] * 3)
     assert score(moved, other, RATIO) == spsi([0.9] * 3, other.values())
 
 
