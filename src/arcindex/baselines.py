@@ -44,7 +44,7 @@ def baseline1_vectors(docs) -> dict:
     """Metadata TF-IDF: title, author and genre tokens."""
     bags = {}
     for doc in docs:
-        parts = [doc.title or ""]
+        parts = [doc.title]
         if doc.author:
             parts.append(doc.author)
         parts.extend(doc.metadata.get("genres", []))

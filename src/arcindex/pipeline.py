@@ -7,7 +7,8 @@ catalogue assembly) then run over all of the resulting series.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+import csv
+from dataclasses import astuple, dataclass, replace
 from pathlib import Path
 
 from .baselines import (agreement, baseline1_vectors, baseline2_vectors,
@@ -231,9 +232,7 @@ def _progression(docs, labels: dict, cfg: PipelineConfig, lexicon=None, aliases=
 
 
 def load_labels(path) -> dict:
-    """Read a two-column ``book_id,label`` CSV (header optional)."""
-    import csv
-
+    """Read a two-column ``book_id,label`` CSV (header optional); an id may not repeat."""
     rows = list(csv.reader(_utf8_lines(path, FormatError, newline="")))
     labels = {}
     for row_no, row in enumerate(rows, start=1):
@@ -241,7 +240,10 @@ def load_labels(path) -> dict:
             continue
         if len(row) < 2:
             raise FormatError(f"{path}: row {row_no}: expected book_id,label")
-        labels[row[0].strip()] = row[1].strip()
+        book_id = row[0].strip()
+        if book_id in labels:
+            raise FormatError(f"{path}: row {row_no}: book id {book_id!r} is repeated")
+        labels[book_id] = row[1].strip()
     return labels
 
 
@@ -267,13 +269,10 @@ def _load_corpus_dir(path):
         meta = {book_id: rest for book_id, *rest in rows}
     docs = []
     for text_path in sorted(books_dir.glob("*.txt")):
-        book_id = text_path.stem
-        doc = load_plain_text(text_path, book_id=book_id)
-        m = meta.get(book_id)
-        if m is not None:
-            title, author, metadata = m
-            doc = BookDocument(book_id=book_id, title=title, tokens=doc.tokens,
-                               author=author, language=doc.language, metadata=metadata)
+        doc = load_plain_text(text_path, book_id=text_path.stem)
+        if doc.book_id in meta:
+            title, author, metadata = meta[doc.book_id]
+            doc = replace(doc, title=title, author=author, metadata=metadata)
         docs.append(doc)
     aliases_path = root / "aliases.tsv"
     aliases = load_aliases(aliases_path) if aliases_path.is_file() else None

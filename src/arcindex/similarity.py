@@ -127,8 +127,10 @@ def spsi_breakdown(s1, s2) -> SpsiBreakdown:
     a = list(s1)
     b = list(s2)
     _check_pair(a, b)
-    rs, ps, cf, n, sd, _ = _evaluate(a, b, fsum(a))
-    return SpsiBreakdown(rs=rs, ps=ps, cf=cf, n=n, sd=sd, spsi=spsi(a, b))
+    # _evaluate gives the breakdown's fields in order. The canonical spsi is
+    # this pass's own value unless b sorts first, as in spsi.
+    *quantities, value = _evaluate(a, b, fsum(a))
+    return SpsiBreakdown(*quantities, _evaluate(b, a, fsum(b))[-1] if b < a else value)
 
 
 @dataclass

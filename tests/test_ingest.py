@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import sys
 import tempfile
@@ -16,7 +17,7 @@ from arcindex.ingest import (AliasTable, BookDocument, Tokens, load_aliases,
                              load_cmu_summaries, load_default_lexicon,
                              load_lexicon, load_plain_text, load_store,
                              save_store, segment_blocks, tokenize)
-from arcindex.pipeline import load_labels
+from arcindex.pipeline import load_corpus_dir, load_labels
 from arcindex.series import read_series_csv
 from arcindex.similarity import read_matrix_csv
 from oracle_reference import ref_tokenize
@@ -104,6 +105,26 @@ def test_undecodable_files_name_the_byte_offset(tmp_path, loader, error):
         loader(path)
 
 
+# Book ids that are not plain file names; every path that makes a document refuses them.
+BAD_IDS = ["", ".", "..", "a/b", "/abs/path", "nul\0byte"]
+
+
+@pytest.mark.parametrize("book_id", BAD_IDS)
+def test_a_document_refuses_a_book_id_that_is_not_a_file_name(book_id):
+    with pytest.raises(FormatError, match="is not a plain file name"):
+        BookDocument(book_id=book_id, title="T", tokens=tokenize("Some words."))
+
+
+def test_a_text_file_whose_stem_is_a_dot_is_refused(tmp_path):
+    path = tmp_path / "..txt"      # Path("..txt").stem == "."
+    path.write_text("Mira walked. Mira ran.", encoding="utf-8")
+    for load in (lambda: load_plain_text(path, book_id=path.stem),
+                 lambda: load_corpus_dir(tmp_path)):
+        with pytest.raises(FormatError, match="is not a plain file name") as excinfo:
+            load()
+        assert str(path) in str(excinfo.value)
+
+
 def test_load_plain_text_rejects_empty_files(tmp_path):
     path = tmp_path / "empty.txt"
     path.write_text("\n\n", encoding="utf-8")
@@ -186,11 +207,13 @@ def test_summary_tsv_skips_and_counts_malformed_rows(tmp_path):
     missing_id = _tsv_row(98).split("\t")
     missing_id[0] = ""
     rows.append("\t".join(missing_id))
+    for bad_id in ("a/b", ".."):                          # not plain file names
+        rows.append("\t".join([bad_id, *_tsv_row(99).split("\t")[1:]]))
     path = tmp_path / "summaries.tsv"
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
     docs, skipped = load_cmu_summaries(path)
     assert len(docs) == 5
-    assert skipped == 4
+    assert skipped == 6
 
 
 @pytest.mark.parametrize("genres", [{"a": 5}, {"a": "Fiction", "b": None}],
@@ -317,14 +340,22 @@ def test_store_rejects_foreign_json(tmp_path):
         load_store(path)
 
 
-METADATA = st.dictionaries(st.text(max_size=8),
-                           st.one_of(st.none(), st.integers(), st.text(max_size=12),
-                                     st.lists(st.text(max_size=8), max_size=3)),
-                           max_size=3)
+# Ids and metadata that BookDocument takes; the refused ones are in BAD_IDS
+# and _BAD_DOCUMENTS.
+BOOK_ID = st.text(st.characters(exclude_characters="/\0" + os.sep), min_size=1,
+                  max_size=12).filter(lambda book_id: book_id not in (".", ".."))
+METADATA = st.builds(
+    lambda other, known: {**other, **known},
+    st.dictionaries(st.text(max_size=8).filter(lambda key: key not in ("genres", "summary")),
+                    st.one_of(st.none(), st.integers(), st.text(max_size=12),
+                              st.lists(st.text(max_size=8), max_size=3)),
+                    max_size=3),
+    st.fixed_dictionaries({}, optional={"genres": st.lists(st.text(max_size=8), max_size=3),
+                                        "summary": st.text(max_size=12)}))
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.lists(st.tuples(st.text(max_size=12), st.text(max_size=12), TEXT,
+@given(st.lists(st.tuples(BOOK_ID, st.text(max_size=12), TEXT,
                           st.one_of(st.none(), st.text(max_size=12)), METADATA),
                 max_size=4, unique_by=lambda book: book[0]))
 def test_store_round_trips_columns_and_metadata(books):
@@ -441,6 +472,9 @@ _BAD_DOCUMENTS = {
     "numeric-genre": (lambda docs: docs[0]["metadata"].update(genres=["G", 5]), "genres"),
     "numeric-summary": (lambda docs: docs[0]["metadata"].update(summary=5), "summary"),
     "repeated-document": (lambda docs: docs.append(dict(docs[0])), "duplicate"),
+    "numeric-language": (lambda docs: docs[0].update(language=5), "language"),
+    **{f"book-id-{bad!r}": (lambda docs, bad=bad: docs[0].update(book_id=bad),
+                            "is not a plain file name") for bad in BAD_IDS},
 }
 
 

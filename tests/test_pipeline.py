@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields, is_dataclass, replace
@@ -215,6 +216,13 @@ def test_load_labels_rejects_a_one_column_row(tmp_path):
     path = tmp_path / "labels.csv"
     path.write_text("book_id,label\nb1,2\nb2\n", encoding="utf-8")
     with pytest.raises(FormatError):
+        load_labels(path)
+
+
+def test_load_labels_rejects_a_repeated_book_id(tmp_path):
+    path = tmp_path / "labels.csv"
+    path.write_text("book_id,label\nb1,x\nb2,x\nb1,y\n", encoding="utf-8")
+    with pytest.raises(FormatError, match=re.escape(f"{path}: row 4: book id 'b1' is repeated")):
         load_labels(path)
 
 
