@@ -11,21 +11,21 @@ which is not stored. Every stored point is primary (members come from
 pivots, representatives are means), so points are stored without
 provenance.
 
-``load`` checks what it reads: the config must be a valid
-:class:`PipelineConfig`, and every stored position and value an ``int``
-or a ``float`` (not a ``bool``), read as a float; each series then
-checks itself when it is made, as every :class:`SentimentSeries` does.
-Book and cluster ids, titles and authors must be strings (an author may
-be null), ids unique, each entry must name a stored cluster and each
-cluster must be named by an entry. Anything else is a ``FormatError``
-naming the file; a 1.x catalogue is a ``VersionError``.
+A catalogue checks its rules once, when it is made, so ``index``
+(through ``build_catalogue``) and ``load`` get the same ones:
+:class:`CatalogueEntry` and :class:`Catalogue` own them, and each
+series checks itself, as every :class:`SentimentSeries` does. An
+entry's book id follows the document id rule, so it is a plain file
+name. ``load`` only decodes: it checks the format version, the config
+(a valid :class:`PipelineConfig`) and that every stored position and
+value is an ``int`` or a ``float`` (not a ``bool``), read as a float.
+Anything refused is a ``FormatError`` naming the file; a 1.x catalogue
+is a ``VersionError``. ``save`` replaces the file atomically.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -33,7 +33,7 @@ from .clustering import Cluster
 from .config import PipelineConfig
 from .errors import (ConfigError, DegenerateSeries, EmptyCatalogue, FormatError, UnknownBook,
                      VersionError)
-from .ingest import _not_utf8
+from .ingest import _BOOK_RULES, _not_utf8, _write_atomic
 from .series import SentimentSeries, SeriesPoint
 from .similarity import score
 
@@ -44,37 +44,89 @@ __all__ = [
     "search_similar", "nearest_cluster", "FORMAT_VERSION",
 ]
 
+# A document's book id, title and author rules, and the entry's own.
+_ENTRY_RULES = _BOOK_RULES + (
+    ("cluster_id is not a string", lambda e: isinstance(e.cluster_id, str)),
+)
+
 
 @dataclass
 class CatalogueEntry:
+    """One book of the catalogue, checked when it is made.
+
+    ``book_id``, ``title`` and ``author`` keep a document's rules, from
+    the same table as :class:`BookDocument`: the id is a plain file name
+    (a string that is not ``""``, ``.`` or ``..`` and holds no ``/``,
+    ``os.sep`` or NUL), the title a string, the author a string or None.
+    ``cluster_id`` is a string. Otherwise construction raises
+    ``FormatError`` naming the entry and the first broken rule.
+    """
     book_id: str
     title: str
     author: str | None
     cluster_id: str
     series: SentimentSeries
 
+    def __post_init__(self) -> None:
+        for fault, holds in _ENTRY_RULES:
+            if not holds(self):
+                raise FormatError(f"entry {self.book_id!r}: {fault}")
+
 
 @dataclass
 class Catalogue:
+    """Clusters and entries that agree, checked when the catalogue is made.
+
+    Cluster ids are unique strings and book ids unique; every entry names
+    a stored cluster, and each cluster's ``members`` are exactly the
+    sorted ids of the entries that name it, so every cluster is named by
+    an entry. Otherwise construction raises ``FormatError``. The
+    catalogue keeps its entries by book id and its clusters by id, for
+    ``entry``, ``in`` and ``cluster``; so it is a value: do not change
+    ``entries`` or ``clusters`` after it is made.
+    """
     format_version: str
     config: PipelineConfig
     clusters: list = field(default_factory=list)
     entries: list = field(default_factory=list)
+    # The entries by book id and the clusters by id, taken when it is made.
+    _entries: dict = field(init=False, compare=False, repr=False)
+    _clusters: dict = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self._clusters = {}
+        for c in self.clusters:
+            if not isinstance(c.cluster_id, str) or c.cluster_id in self._clusters:
+                raise FormatError(f"cluster id {c.cluster_id!r} is not a unique string")
+            self._clusters[c.cluster_id] = c
+        self._entries = {}
+        members = {cluster_id: [] for cluster_id in self._clusters}
+        for e in self.entries:
+            if e.book_id in self._entries:
+                raise FormatError(f"duplicate book_id {e.book_id!r}")
+            if e.cluster_id not in members:
+                raise FormatError(f"entry {e.book_id!r} names no cluster {e.cluster_id!r}")
+            self._entries[e.book_id] = e
+            members[e.cluster_id].append(e.book_id)
+        for c in self.clusters:
+            ids = sorted(members[c.cluster_id])
+            if not ids:
+                raise FormatError(f"no entry names cluster {c.cluster_id!r}")
+            if c.members != ids:
+                raise FormatError(f"cluster {c.cluster_id!r}: members {c.members!r} are not the "
+                                  f"sorted ids of its entries, {ids!r}")
 
     def entry(self, book_id: str) -> CatalogueEntry:
-        for e in self.entries:
-            if e.book_id == book_id:
-                return e
-        raise UnknownBook(book_id)
+        try:
+            return self._entries[book_id]
+        except KeyError:
+            raise UnknownBook(book_id) from None
 
     def cluster(self, cluster_id) -> Cluster:
-        for c in self.clusters:
-            if c.cluster_id == cluster_id:
-                return c
-        raise KeyError(cluster_id)
+        return self._clusters[cluster_id]
 
     def __contains__(self, book_id: str) -> bool:
-        return any(e.book_id == book_id for e in self.entries)
+        return book_id in self._entries
 
 
 def build_catalogue(clusters, series_by_id: dict, cfg: PipelineConfig,
@@ -125,38 +177,14 @@ def save(catalogue: Catalogue, path) -> None:
     payload = {
         "format_version": catalogue.format_version,
         "config": catalogue.config.to_dict(),
-        "clusters": [
-            {
-                "cluster_id": c.cluster_id,
-                "representative": _series_payload(c.representative),
-            }
-            for c in catalogue.clusters
-        ],
-        "entries": [
-            {
-                "book_id": e.book_id,
-                "title": e.title,
-                "author": e.author,
-                "cluster_id": e.cluster_id,
-                "series": _series_payload(e.series),
-            }
-            for e in catalogue.entries
-        ],
+        "clusters": [{"cluster_id": c.cluster_id,
+                      "representative": _series_payload(c.representative)}
+                     for c in catalogue.clusters],
+        "entries": [{"book_id": e.book_id, "title": e.title, "author": e.author,
+                     "cluster_id": e.cluster_id, "series": _series_payload(e.series)}
+                    for e in catalogue.entries],
     }
-    path = Path(path)
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    try:
-        # mkstemp creates the file owner-only; keep the mode a plain write gave.
-        os.chmod(tmp, 0o644)
-        with open(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    _write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def load(path) -> Catalogue:
@@ -188,41 +216,22 @@ def load(path) -> Catalogue:
     except (TypeError, ConfigError) as exc:
         raise FormatError(f"{path}: bad catalogue config: {exc}") from None
     try:
-        reps = {}
-        for c in payload["clusters"]:
-            cluster_id = c["cluster_id"]
-            if not isinstance(cluster_id, str) or cluster_id in reps:
-                raise ValueError(f"cluster id {cluster_id!r} is not a unique string")
-            reps[cluster_id] = _series_from_payload(f"cluster:{cluster_id}",
-                                                    c["representative"])
-        members = {cluster_id: [] for cluster_id in reps}   # ids of the entries naming it
-        entries = []
-        book_ids = set()
-        for e in payload["entries"]:
-            book_id, title, author = e["book_id"], e["title"], e.get("author")
-            cluster_id = e["cluster_id"]
-            if not (isinstance(book_id, str) and isinstance(title, str)
-                    and isinstance(cluster_id, str)
-                    and (author is None or isinstance(author, str))):
-                raise ValueError(f"entry {book_id!r}: book_id, title and cluster_id "
-                                 "must be strings, author a string or null")
-            if book_id in book_ids:
-                raise ValueError(f"duplicate book_id {book_id!r}")
-            if cluster_id not in members:
-                raise ValueError(f"entry {book_id!r} names no cluster {cluster_id!r}")
-            book_ids.add(book_id)
-            members[cluster_id].append(book_id)
-            entries.append(CatalogueEntry(book_id=book_id, title=title, author=author,
-                                          cluster_id=cluster_id,
-                                          series=_series_from_payload(book_id, e["series"])))
-        for cluster_id, ids in members.items():
-            if not ids:
-                raise ValueError(f"no entry names cluster {cluster_id!r}")
-    except (KeyError, TypeError, ValueError, OverflowError, DegenerateSeries) as exc:
+        entries = [CatalogueEntry(book_id=e["book_id"], title=e["title"], author=e.get("author"),
+                                  cluster_id=e["cluster_id"],
+                                  series=_series_from_payload(e["book_id"], e["series"]))
+                   for e in payload["entries"]]
+        members = {}            # cluster id -> ids of the entries naming it
+        for e in entries:
+            members.setdefault(e.cluster_id, []).append(e.book_id)
+        clusters = [Cluster(c["cluster_id"], sorted(members.get(c["cluster_id"], ())),
+                            _series_from_payload(f"cluster:{c['cluster_id']}",
+                                                 c["representative"]))
+                    for c in payload["clusters"]]
+        return Catalogue(format_version=version, config=config,
+                         clusters=clusters, entries=entries)
+    except (KeyError, TypeError, ValueError, OverflowError, DegenerateSeries,
+            FormatError) as exc:
         raise FormatError(f"{path}: malformed catalogue structure: {exc}") from exc
-    clusters = [Cluster(cid, sorted(members[cid]), rep) for cid, rep in reps.items()]
-    return Catalogue(format_version=version, config=config,
-                     clusters=clusters, entries=entries)
 
 
 def search_similar(catalogue: Catalogue, query, k: int) -> list:

@@ -50,11 +50,13 @@ class VersionError(ArcIndexError):
 
 
 class FormatError(ArcIndexError):
-    """Corrupt or unparseable persisted file, or a refused document record.
+    """Corrupt or unparseable persisted file, or a refused record.
 
     ``BookDocument`` raises it for a document that breaks its rules (a
     book id that is not a plain file name, a field of the wrong type),
-    whichever path made the document.
+    whichever path made the document; ``CatalogueEntry`` and
+    ``Catalogue`` raise it for an entry or a catalogue that breaks its
+    rules, whether ``index`` or ``load`` made it.
     """
 
     def __init__(self, message, offset=None):

@@ -10,11 +10,13 @@ sentence-initial capitals from looking like names.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
 import re
 import sys
+import tempfile
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import compress
@@ -49,11 +51,14 @@ def _plain_file_name(book_id) -> bool:
             and not any(c in book_id for c in ("/", os.sep, "\0")))
 
 
-# Each rule a document keeps, as (the fault when it breaks, its test).
-_DOCUMENT_RULES = (
+# Each rule a book record keeps, as (the fault when it breaks, its test).
+# A document and a catalogue entry both keep these.
+_BOOK_RULES = (
     ("book_id is not a plain file name", lambda d: _plain_file_name(d.book_id)),
     ("title is not a string", lambda d: isinstance(d.title, str)),
     ("author is not a string or null", lambda d: d.author is None or isinstance(d.author, str)),
+)
+_DOCUMENT_RULES = _BOOK_RULES + (
     ("language is not a string", lambda d: isinstance(d.language, str)),
     ("metadata is not an object", lambda d: isinstance(d.metadata, dict)),
     ("genres are not a list of strings",
@@ -142,13 +147,46 @@ def _not_utf8(path, error_type):
 def _utf8_lines(path, error_type, newline=None):
     """The lines of a UTF-8 text file; a byte that does not decode raises ``error_type``.
 
-    ``newline`` is passed to ``open``; csv readers need ``""``.
+    ``newline`` is passed to ``open``; ``_csv_rows`` passes ``""``.
     """
     with open(path, "r", encoding="utf-8", newline=newline) as fh:
         try:
             yield from fh
         except UnicodeDecodeError:
             raise _not_utf8(path, error_type) from None
+
+
+def _csv_rows(path) -> list:
+    """``(row_no, row)`` for each CSV row of a UTF-8 file that holds more than whitespace.
+
+    Rows count from 1, blank ones included. The whole file is decoded
+    first, so a byte that does not decode raises ``FormatError`` before
+    a reader sees any row.
+    """
+    rows = csv.reader(_utf8_lines(path, FormatError, newline=""))
+    return [(row_no, row) for row_no, row in enumerate(rows, start=1) if "".join(row).strip()]
+
+
+def _write_atomic(path, text: str) -> None:
+    """Write ``text`` to ``path`` through a temporary file in its directory.
+
+    The file is replaced only once the new bytes are on disk, so a
+    failed or interrupted write keeps the old file and leaves no
+    temporary file behind.
+    """
+    path = Path(path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        # mkstemp creates the file owner-only; keep the mode a plain write gave.
+        os.chmod(tmp, 0o644)
+        with open(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_plain_text(path, book_id: str) -> BookDocument:
@@ -310,8 +348,9 @@ def save_store(docs, path) -> None:
     single spaces, and ``capitalized`` and ``sentence_start``, the sorted
     positions where that flag is true. A token that is not a string, is
     empty or holds a space raises ``FormatError`` naming the book and the
-    token's offset, before the file is opened, so an existing file keeps
-    its bytes.
+    token's offset, before anything is written. The file is replaced
+    atomically, so an existing store keeps its bytes whenever a save
+    fails.
     """
     payload = {
         "format": STORE_FORMAT,
@@ -329,9 +368,7 @@ def save_store(docs, path) -> None:
         ],
     }
     # One dumps call: json.dump to a handle runs the pure-Python encoder.
-    text = json.dumps(payload, separators=(",", ":"), sort_keys=True) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    _write_atomic(path, json.dumps(payload, separators=(",", ":"), sort_keys=True) + "\n")
 
 
 def _flags(positions, n: int) -> bytes:

@@ -7,7 +7,6 @@ catalogue assembly) then run over all of the resulting series.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import astuple, dataclass, replace
 from pathlib import Path
 
@@ -18,7 +17,7 @@ from .characters import co_occurrence, extract_characters, select_core, select_p
 from .clustering import cluster_matrix, cluster_series, resolve_threshold
 from .config import PipelineConfig
 from .errors import ArcIndexError, FormatError
-from .ingest import (AliasTable, BookDocument, _summary_rows, _utf8_lines, load_aliases,
+from .ingest import (AliasTable, BookDocument, _csv_rows, _summary_rows, load_aliases,
                      load_default_lexicon, load_plain_text, segment_blocks)
 from .pivots import (block_positions, block_sentiments, compute_interactions,
                      predominant_pair, smooth)
@@ -232,11 +231,13 @@ def _progression(docs, labels: dict, cfg: PipelineConfig, lexicon=None, aliases=
 
 
 def load_labels(path) -> dict:
-    """Read a two-column ``book_id,label`` CSV (header optional); an id may not repeat."""
-    rows = list(csv.reader(_utf8_lines(path, FormatError, newline="")))
+    """Read a two-column ``book_id,label`` CSV (header optional, blank rows skipped).
+
+    An id may not repeat.
+    """
     labels = {}
-    for row_no, row in enumerate(rows, start=1):
-        if not row or row[0].strip().lower() == "book_id":
+    for row_no, row in _csv_rows(path):
+        if row[0].strip().lower() == "book_id":
             continue
         if len(row) < 2:
             raise FormatError(f"{path}: row {row_no}: expected book_id,label")

@@ -15,9 +15,10 @@ from dataclasses import dataclass, field
 from math import fsum, inf, isfinite
 from operator import lt
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import DegenerateSeries, FormatError, TooFewPivots
-from .ingest import _utf8_lines
+from .ingest import _csv_rows
 
 PRIMARY = "primary"
 INTERPOLATED = "interpolated"
@@ -26,8 +27,12 @@ SECONDARY = "secondary-pivot"
 _PROVENANCE = (PRIMARY, INTERPOLATED, SECONDARY)
 
 
-@dataclass(frozen=True, slots=True)
-class SeriesPoint:
+class SeriesPoint(NamedTuple):
+    """One point of a series.
+
+    A named tuple: it is cheap to make, it cannot change, and it equals
+    the plain tuple of its fields.
+    """
     position: float
     value: float
     provenance: str = PRIMARY
@@ -205,10 +210,7 @@ def read_series_csv(path, book_id: str | None = None) -> SentimentSeries:
     """Read ``position,value[,provenance]`` rows; header optional."""
     path = Path(path)
     points = []
-    lines = list(csv.reader(_utf8_lines(path, FormatError, newline="")))
-    for row_no, row in enumerate(lines, start=1):
-        if not row or not "".join(row).strip():
-            continue
+    for row_no, row in _csv_rows(path):
         if row_no == 1 and row[0].strip().lower() == "position":
             continue
         if len(row) not in (2, 3):

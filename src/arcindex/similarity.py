@@ -25,7 +25,7 @@ from math import fsum, isfinite, log1p, sqrt
 from operator import add, mul
 
 from .errors import DegenerateSeries, FormatError, LengthMismatch
-from .ingest import _utf8_lines
+from .ingest import _csv_rows
 from .series import SentimentSeries, align_lengths
 
 __all__ = [
@@ -177,8 +177,7 @@ def write_matrix_csv(matrix: SimilarityMatrix, path) -> None:
 
 def read_matrix_csv(path) -> SimilarityMatrix:
     """Read a square similarity matrix with a book_id header row/column."""
-    rows = [row for row in csv.reader(_utf8_lines(path, FormatError, newline=""))
-            if row and "".join(row).strip()]
+    rows = [row for _, row in _csv_rows(path)]
     if len(rows) < 2:
         raise FormatError(f"{path}: empty matrix")
     ids = [c.strip() for c in rows[0][1:]]

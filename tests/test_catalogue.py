@@ -1,12 +1,13 @@
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arcindex.catalogue import (FORMAT_VERSION, build_catalogue, load,
-                                nearest_cluster, save, search_similar)
+from arcindex.catalogue import (FORMAT_VERSION, Catalogue, CatalogueEntry, build_catalogue,
+                                load, nearest_cluster, save, search_similar)
 from arcindex.clustering import Cluster, cluster_series
 from arcindex.config import PipelineConfig
 from arcindex.errors import (EmptyCatalogue, FormatError, UnknownBook,
@@ -45,9 +46,69 @@ def _toy_catalogue():
 def test_entry_lookup_and_membership():
     cat = _toy_catalogue()
     assert "book-b" in cat
+    assert "missing" not in cat
     assert cat.entry("book-b").title == "Beta"
     with pytest.raises(UnknownBook):
         cat.entry("missing")
+    assert cat.cluster("book-a").members == ["book-a", "book-b"]
+    with pytest.raises(KeyError):
+        cat.cluster("book-b")
+
+
+# Entry ids that a document would refuse as well.
+BAD_ENTRY_IDS = ["../x", "", ".", "..", "a/b", "nul\0byte"]
+
+
+def _entry(book_id, cluster_id):
+    return CatalogueEntry(book_id=book_id, title=book_id.upper(), author=None,
+                          cluster_id=cluster_id, series=_series(book_id, [0.2, 0.4]))
+
+
+def _cluster(cluster_id, members):
+    return Cluster(cluster_id, members, _series(f"cluster:{cluster_id}", [0.2, 0.4]))
+
+
+# Clusters and entries that disagree, and the words the refusal must contain.
+_DISAGREEING = {
+    "repeated-book-id": ([_cluster("a", ["a", "a"])], [_entry("a", "a"), _entry("a", "a")],
+                         "duplicate book_id 'a'"),
+    "entry-names-no-cluster": ([_cluster("a", ["a"])], [_entry("a", "a"), _entry("b", "z")],
+                               "entry 'b' names no cluster 'z'"),
+    "members-miss-an-entry": ([_cluster("a", ["a"])], [_entry("a", "a"), _entry("b", "a")],
+                              "members \\['a'\\] are not the sorted ids"),
+    "members-unsorted": ([_cluster("a", ["b", "a"])], [_entry("a", "a"), _entry("b", "a")],
+                         "are not the sorted ids"),
+    "cluster-without-entries": ([_cluster("a", ["a"]), _cluster("z", [])], [_entry("a", "a")],
+                                "no entry names cluster 'z'"),
+    "repeated-cluster-id": ([_cluster("a", ["a"]), _cluster("a", ["a"])], [_entry("a", "a")],
+                            "cluster id 'a' is not a unique string"),
+    "numeric-cluster-id": ([_cluster(7, ["a"])], [_entry("a", "a")],
+                           "cluster id 7 is not a unique string"),
+}
+
+
+@pytest.mark.parametrize("case", list(_DISAGREEING))
+def test_a_catalogue_refuses_clusters_and_entries_that_disagree(case):
+    clusters, entries, words = _DISAGREEING[case]
+    with pytest.raises(FormatError, match=words):
+        Catalogue(format_version=FORMAT_VERSION, config=PipelineConfig(),
+                  clusters=clusters, entries=entries)
+
+
+def test_build_catalogue_refuses_a_book_in_two_clusters():
+    s_a, s_b = _series("a", [0.2, 0.4]), _series("b", [0.3, 0.5])
+    clusters = [_cluster("a", ["a"]), _cluster("b", ["a", "b"])]
+    with pytest.raises(FormatError, match="duplicate book_id 'a'"):
+        build_catalogue(clusters, {"a": s_a, "b": s_b}, PipelineConfig(), {})
+
+
+@pytest.mark.parametrize("book_id", BAD_ENTRY_IDS)
+def test_build_catalogue_refuses_a_book_id_that_is_not_a_file_name(book_id):
+    series = _series(book_id, [0.2, 0.4])
+    with pytest.raises(FormatError, match=f"entry {re.escape(repr(book_id))}: "
+                                          "book_id is not a plain file name"):
+        build_catalogue([Cluster(book_id, [book_id], series)], {book_id: series},
+                        PipelineConfig(), {})
 
 
 def test_round_trip_preserves_everything(tmp_path):
@@ -217,6 +278,10 @@ _BAD_SERIES = {
     "overflowing-int-value": (lambda p: p["entries"][0]["series"][1].update(value=10**400),
                               "too large"),
     "numeric-format-version": (lambda p: p.update(format_version=1), "format_version"),
+    "numeric-cluster-id": (lambda p: p["entries"][0].update(cluster_id=7),
+                           "cluster_id is not a string"),
+    **{f"entry-id-{bad!r}": (lambda p, bad=bad: p["entries"][0].update(book_id=bad),
+                             "is not a plain file name") for bad in BAD_ENTRY_IDS},
 }
 
 
@@ -270,7 +335,7 @@ def test_failed_save_keeps_the_old_file_and_leaves_no_temp_file(tmp_path, monkey
     def fail(src, dst):
         raise OSError("disk full")
 
-    monkeypatch.setattr("arcindex.catalogue.os.replace", fail)
+    monkeypatch.setattr("arcindex.ingest.os.replace", fail)
     cat = _toy_catalogue()
     cat.entries = cat.entries[:1]
     with pytest.raises(OSError, match="disk full"):

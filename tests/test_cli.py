@@ -492,6 +492,23 @@ def test_search_of_a_malformed_catalogue_names_the_file(cli_catalogue, tmp_path,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("query", ["../x", "synth-000"])
+def test_search_refuses_an_entry_id_that_is_not_a_file_name(cli_catalogue, tmp_path, capsys,
+                                                            query):
+    payload = copy.deepcopy(cli_catalogue)
+    assert payload["entries"][0]["book_id"] == "synth-000"
+    payload["entries"][1]["book_id"] = "../x"
+    path = tmp_path / "catalogue.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["search", "--catalogue", str(path), "--like", query]) == 2
+    out, err = capsys.readouterr()
+    assert f"{path}: malformed catalogue structure: entry '../x': book_id is not a plain " \
+           "file name" in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
 def _readme_commands():
     """The ``arcindex`` lines of README's sh blocks, continuations joined."""
     text = README.read_text(encoding="utf-8")

@@ -315,6 +315,23 @@ def test_store_round_trip(tmp_path):
     assert back[0].tokens == docs[0].tokens
 
 
+def test_failed_store_save_keeps_the_old_file_and_leaves_no_temp_file(tmp_path, monkeypatch):
+    path = tmp_path / "store.json"
+    docs = [BookDocument(book_id="b1", title="One", tokens=tokenize("Hello there."))]
+    save_store(docs, path)
+    before = path.read_bytes()
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("arcindex.ingest.os.replace", fail)
+    docs.append(BookDocument(book_id="b2", title="Two", tokens=tokenize("More words.")))
+    with pytest.raises(OSError, match="disk full"):
+        save_store(docs, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["store.json"]
+
+
 def test_store_bytes_are_stable(tmp_path):
     docs = [
         BookDocument(book_id="b1", title='Café "Noir"', tokens=tokenize("Élise met Bram. Bye!"),

@@ -208,8 +208,10 @@ def test_load_corpus_dir_picks_up_alias_sidecar(tmp_path):
 
 def test_load_labels_reads_two_column_csv(tmp_path):
     path = tmp_path / "labels.csv"
-    path.write_text("book_id,label\nb1,2\nb2,1\n", encoding="utf-8")
-    assert load_labels(path) == {"b1": "2", "b2": "1"}
+    # A row of whitespace is blank, as it is in series and matrix CSVs.
+    for text in ("book_id,label\nb1,2\nb2,1\n", "book_id,label\nb1,2\n   \nb2,1\n"):
+        path.write_text(text, encoding="utf-8")
+        assert load_labels(path) == {"b1": "2", "b2": "1"}
 
 
 def test_load_labels_rejects_a_one_column_row(tmp_path):

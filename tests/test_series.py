@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import random
@@ -29,6 +30,17 @@ def _series(book_id, positions, values, provenance=None):
     points = [SeriesPoint(p, v, pr)
               for p, v, pr in zip(positions, values, provenance)]
     return SentimentSeries(book_id=book_id, points=points)
+
+
+def test_a_point_is_an_immutable_value():
+    point = SeriesPoint(0.25, 0.5)
+    assert point.provenance == PRIMARY
+    assert repr(point) == "SeriesPoint(position=0.25, value=0.5, provenance='primary')"
+    with pytest.raises(AttributeError):
+        point.value = 0.75
+    assert copy.deepcopy(point) == point
+    assert hash(SeriesPoint(0.25, 0.5, PRIMARY)) == hash(point)
+    assert point != SeriesPoint(0.25, 0.5, INTERPOLATED)
 
 
 def test_build_series_orders_points_by_position():
