@@ -75,7 +75,10 @@ def _norm(u: dict) -> float:
     return math.sqrt(total)
 
 
-def _cosine(u: dict, norm_u: float, v: dict, norm_v: float) -> float:
+def _cosine(x: tuple, y: tuple) -> float:
+    """Cosine of two ``(vector, norm)`` pairs."""
+    u, norm_u = x
+    v, norm_v = y
     if norm_u == 0.0 or norm_v == 0.0:
         return 0.0
     if len(v) < len(u):
@@ -88,7 +91,7 @@ def _cosine(u: dict, norm_u: float, v: dict, norm_v: float) -> float:
 
 
 def cosine(u: dict, v: dict) -> float:
-    return _cosine(u, _norm(u), v, _norm(v))
+    return _cosine((u, _norm(u)), (v, _norm(v)))
 
 
 def similarity_matrix_from_vectors(vectors: dict) -> SimilarityMatrix:
@@ -96,17 +99,8 @@ def similarity_matrix_from_vectors(vectors: dict) -> SimilarityMatrix:
 
     Each vector's norm is computed once and shared by all its pairs.
     """
-    ids = list(vectors)
-    n = len(ids)
-    vecs = [vectors[i] for i in ids]
-    norms = [_norm(u) for u in vecs]
-    values = [[1.0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            s = _cosine(vecs[i], norms[i], vecs[j], norms[j])
-            values[i][j] = s
-            values[j][i] = s
-    return SimilarityMatrix(book_ids=ids, values=values)
+    items = [(u, _norm(u)) for u in vectors.values()]
+    return SimilarityMatrix.from_pairs(list(vectors), items, _cosine)
 
 
 @dataclass

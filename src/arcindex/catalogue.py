@@ -223,10 +223,13 @@ def load(path) -> Catalogue:
         members = {}            # cluster id -> ids of the entries naming it
         for e in entries:
             members.setdefault(e.cluster_id, []).append(e.book_id)
-        clusters = [Cluster(c["cluster_id"], sorted(members.get(c["cluster_id"], ())),
-                            _series_from_payload(f"cluster:{c['cluster_id']}",
-                                                 c["representative"]))
-                    for c in payload["clusters"]]
+        clusters = []
+        for c in payload["clusters"]:
+            cid = c["cluster_id"]
+            # Only a string id is looked up; Catalogue refuses any other in its own words.
+            ids = sorted(members.get(cid, ())) if isinstance(cid, str) else []
+            clusters.append(Cluster(cid, ids, _series_from_payload(f"cluster:{cid}",
+                                                                   c["representative"])))
         return Catalogue(format_version=version, config=config,
                          clusters=clusters, entries=entries)
     except (KeyError, TypeError, ValueError, OverflowError, DegenerateSeries,

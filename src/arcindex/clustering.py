@@ -29,6 +29,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from .config import PipelineConfig
+from .errors import FormatError
 from .series import PRIMARY, SentimentSeries, SeriesPoint, align_lengths
 from .similarity import SimilarityMatrix, score
 
@@ -189,9 +190,9 @@ def cluster_series(series_list, cfg: PipelineConfig, matrix: SimilarityMatrix):
     """
     series_by_id = {s.book_id: s for s in series_list}
     if len(series_by_id) != len(series_list):
-        raise ValueError("duplicate book_id in series list")
+        raise FormatError("duplicate book_id in series list")
     if sorted(matrix.book_ids) != sorted(series_by_id):
-        raise ValueError("matrix book_ids do not match the series list")
+        raise FormatError("matrix book_ids do not match the series list")
     dt = resolve_threshold(matrix, cfg)
     members = {book_id: [book_id] for book_id in series_by_id}
     reps = dict(series_by_id)

@@ -56,7 +56,9 @@ class FormatError(ArcIndexError):
     book id that is not a plain file name, a field of the wrong type),
     whichever path made the document; ``CatalogueEntry`` and
     ``Catalogue`` raise it for an entry or a catalogue that breaks its
-    rules, whether ``index`` or ``load`` made it.
+    rules, whether ``index`` or ``load`` made it; ``cluster_series``
+    raises it for a repeated book id, or a matrix whose ids are not the
+    series'.
     """
 
     def __init__(self, message, offset=None):

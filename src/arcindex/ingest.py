@@ -15,6 +15,7 @@ import json
 import math
 import os
 import re
+import stat
 import sys
 import tempfile
 from dataclasses import dataclass, field
@@ -172,13 +173,21 @@ def _write_atomic(path, text: str) -> None:
 
     The file is replaced only once the new bytes are on disk, so a
     failed or interrupted write keeps the old file and leaves no
-    temporary file behind.
+    temporary file behind. The file gets the mode a plain write gives:
+    a replaced file keeps its mode, a new one gets ``0o666`` less the
+    umask.
     """
     path = Path(path)
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)     # the umask can only be read by setting it
+        os.umask(umask)
+        mode = 0o666 & ~umask
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
-        # mkstemp creates the file owner-only; keep the mode a plain write gave.
-        os.chmod(tmp, 0o644)
+        # mkstemp creates the file owner-only.
+        os.chmod(tmp, mode)
         with open(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
             fh.flush()

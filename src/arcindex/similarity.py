@@ -12,8 +12,11 @@ measures how closely the two progressions track each other:
 Identical series give exactly 1 and the value decays slowly toward 0 as
 the progressions diverge. Swapping the operands maps PS to 1 - PS and
 flips the sign of every CF, so the result is symmetric; to make the
-symmetry hold bit for bit in floating point, the scalar entry point
-canonicalizes operand order before evaluating.
+symmetry hold bit for bit in floating point, ``score`` alone orders the
+operands canonically before evaluating. The value-level ``spsi`` and
+``spsi_breakdown`` check their value sequences as series and score
+them with ``score``. Every matrix, SPSI or cosine, fills through
+``SimilarityMatrix.from_pairs``.
 """
 
 from __future__ import annotations
@@ -21,12 +24,13 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from math import fsum, isfinite, log1p, sqrt
+from functools import partial
+from math import fsum, log1p, sqrt
 from operator import add, mul
 
 from .errors import DegenerateSeries, FormatError, LengthMismatch
 from .ingest import _csv_rows
-from .series import SentimentSeries, align_lengths
+from .series import SentimentSeries, SeriesPoint, align_lengths
 
 __all__ = [
     "SpsiBreakdown", "SimilarityMatrix", "score", "spsi", "spsi_breakdown",
@@ -34,19 +38,17 @@ __all__ = [
 ]
 
 
-def _check_values(values) -> None:
-    """Raise DegenerateSeries unless there are 2+ values, all finite and >= 0."""
-    if len(values) < 2:
-        raise DegenerateSeries("series must have at least 2 points")
-    if not all(map(isfinite, values)) or min(values) < 0.0:
-        raise DegenerateSeries("values must be finite and non-negative")
+def _value_series(s1, s2) -> tuple:
+    """Two equal-length value sequences as series ``s1`` and ``s2`` at positions 0, 1, ...
 
-
-def _check_pair(s1, s2):
-    if len(s1) != len(s2):
-        raise LengthMismatch(f"series lengths differ: {len(s1)} vs {len(s2)}")
-    _check_values(s1)
-    _check_values(s2)
+    Each series refuses bad values as every series does, naming its
+    operand and the point.
+    """
+    a, b = list(s1), list(s2)
+    if len(a) != len(b):
+        raise LengthMismatch(f"series lengths differ: {len(a)} vs {len(b)}")
+    return tuple(SentimentSeries(name, [SeriesPoint(float(i), v) for i, v in enumerate(values)])
+                 for name, values in (("s1", a), ("s2", b)))
 
 
 def _evaluate(s1, s2, sum1: float) -> tuple:
@@ -81,26 +83,23 @@ def _evaluate(s1, s2, sum1: float) -> tuple:
 def spsi(s1, s2) -> float:
     """The similarity indicator for two equal-length value sequences.
 
-    Operands are ordered canonically before evaluation so that
-    spsi(a, b) and spsi(b, a) return the identical float. Raises
-    DegenerateSeries unless every value is finite and >= 0.
+    The sequences are checked as series (2+ points, every value finite
+    and >= 0; otherwise ``DegenerateSeries``) and scored by ``score``,
+    so spsi(a, b) and spsi(b, a) return the identical float.
     """
-    a = list(s1)
-    b = list(s2)
-    _check_pair(a, b)
-    if b < a:
-        a, b = b, a
-    return _evaluate(a, b, fsum(a))[-1]
+    a, b = _value_series(s1, s2)
+    # Equal lengths align unchanged, so the ratio limit is never read.
+    return score(a, b, 0.0)
 
 
 def score(s1: SentimentSeries, s2: SentimentSeries, ratio_limit: float) -> float:
     """SPSI of two series after aligning them to a common length.
 
-    Every pairwise score of the pipeline (matrix, clustering, catalogue
-    search and nearest cluster) goes through here. It reads the values
-    and ``fsum`` that each aligned series checked and kept when it was
-    made, and orders the two canonically as ``spsi`` does, so the bits
-    are ``spsi``'s.
+    Every pairwise score (matrix, clustering, catalogue search, nearest
+    cluster and the value-level ``spsi``) goes through here. It reads
+    the values and ``fsum`` that each aligned series checked and kept
+    when it was made, and is the one place that orders the two operands
+    canonically, so the result does not depend on their order.
     """
     a, b = align_lengths(s1, s2, ratio_limit)
     if b._values < a._values:
@@ -124,13 +123,14 @@ class SpsiBreakdown:
 
 
 def spsi_breakdown(s1, s2) -> SpsiBreakdown:
-    a = list(s1)
-    b = list(s2)
-    _check_pair(a, b)
-    # _evaluate gives the breakdown's fields in order. The canonical spsi is
-    # this pass's own value unless b sorts first, as in spsi.
-    *quantities, value = _evaluate(a, b, fsum(a))
-    return SpsiBreakdown(*quantities, _evaluate(b, a, fsum(b))[-1] if b < a else value)
+    """The intermediates of one evaluation, in the passed order, and the canonical spsi.
+
+    The sequences are checked as series, as ``spsi`` checks them.
+    """
+    a, b = _value_series(s1, s2)
+    *quantities, _ = _evaluate(a._values, b._values, a._fsum)
+    # Equal lengths align unchanged, so the ratio limit is never read.
+    return SpsiBreakdown(*quantities, score(a, b, 0.0))
 
 
 @dataclass
@@ -146,24 +146,33 @@ class SimilarityMatrix:
         n = len(self.book_ids)
         return [self.values[i][j] for i in range(n) for j in range(i + 1, n)]
 
+    @classmethod
+    def from_pairs(cls, book_ids, items, pair_score) -> SimilarityMatrix:
+        """All-pairs matrix of ``pair_score(items[i], items[j])``, unit diagonal.
+
+        Each pair is scored once, the earlier item first, and written to
+        both triangles. A ``DegenerateSeries`` raised there is re-raised
+        naming the pair by its book ids.
+        """
+        n = len(items)
+        values = [[1.0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                try:
+                    value = pair_score(items[i], items[j])
+                except DegenerateSeries as exc:
+                    raise DegenerateSeries(f"pair ({book_ids[i]}, {book_ids[j]}): {exc}") from exc
+                values[i][j] = value
+                values[j][i] = value
+        return cls(book_ids=list(book_ids), values=values)
+
 
 def spsi_matrix(series_list, ratio_limit: float) -> SimilarityMatrix:
     """All-pairs SPSI with pairwise alignment to a common length."""
     if len(series_list) < 2:
         raise DegenerateSeries("need at least 2 series for a matrix")
-    n = len(series_list)
-    values = [[1.0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            try:
-                value = score(series_list[i], series_list[j], ratio_limit)
-            except DegenerateSeries as exc:
-                raise DegenerateSeries(
-                    f"pair ({series_list[i].book_id}, {series_list[j].book_id}): {exc}"
-                ) from exc
-            values[i][j] = value
-            values[j][i] = value
-    return SimilarityMatrix(book_ids=[s.book_id for s in series_list], values=values)
+    return SimilarityMatrix.from_pairs([s.book_id for s in series_list], series_list,
+                                       partial(score, ratio_limit=ratio_limit))
 
 
 def write_matrix_csv(matrix: SimilarityMatrix, path) -> None:

@@ -1,6 +1,8 @@
 import json
+import os
 import random
 import re
+import stat
 
 import pytest
 from hypothesis import given, settings
@@ -280,6 +282,8 @@ _BAD_SERIES = {
     "numeric-format-version": (lambda p: p.update(format_version=1), "format_version"),
     "numeric-cluster-id": (lambda p: p["entries"][0].update(cluster_id=7),
                            "cluster_id is not a string"),
+    **{f"cluster-id-{bad!r}": (lambda p, bad=bad: p["clusters"][0].update(cluster_id=bad),
+                               "is not a unique string") for bad in ([1], {})},
     **{f"entry-id-{bad!r}": (lambda p, bad=bad: p["entries"][0].update(book_id=bad),
                              "is not a plain file name") for bad in BAD_ENTRY_IDS},
 }
@@ -342,6 +346,20 @@ def test_failed_save_keeps_the_old_file_and_leaves_no_temp_file(tmp_path, monkey
         save(cat, path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["catalogue.json"]
+
+
+def test_save_keeps_the_mode_a_plain_write_gives(tmp_path):
+    path, plain = tmp_path / "catalogue.json", tmp_path / "plain.json"
+    umask = os.umask(0o077)
+    try:
+        save(_toy_catalogue(), path)
+        plain.write_text("", encoding="utf-8")
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE(path.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode) == 0o600
+    path.chmod(0o640)
+    save(_toy_catalogue(), path)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o640
 
 
 def test_load_rejects_missing_version(tmp_path):

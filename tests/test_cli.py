@@ -9,7 +9,8 @@ import pytest
 from arcindex.cli import main
 from arcindex.config import PipelineConfig, parse_config_text
 from arcindex.pipeline import evaluate, load_corpus_dir, load_labels
-from arcindex.similarity import SimilarityMatrix, read_matrix_csv, write_matrix_csv
+from arcindex.series import read_series_csv
+from arcindex.similarity import SimilarityMatrix, read_matrix_csv, score, write_matrix_csv
 
 from reference_data import GRID_IDS, grid_matrix_values
 
@@ -214,6 +215,17 @@ def test_spsi_of_a_series_with_itself_is_one(cli_corpus, tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["spsi"] == 1.0
     assert payload["ps"] == 0.5
+
+
+def test_spsi_of_a_series_pair_is_the_pair_scorer(tmp_path, capsys):
+    # 6 and 4 points: the pair is aligned before it is scored.
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.write_text("0.0,0.1\n0.2,0.7\n0.4,0.3\n0.6,0.9\n0.8,0.2\n1.0,0.5\n", encoding="utf-8")
+    b.write_text("0.0,0.4\n0.3,0.6\n0.7,0.1\n1.0,0.8\n", encoding="utf-8")
+    assert main(["spsi", "--series-a", str(a), "--series-b", str(b), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    expected = score(read_series_csv(a), read_series_csv(b), PipelineConfig().length_ratio_limit)
+    assert payload["spsi"].hex() == expected.hex()
 
 
 def test_spsi_pair_needs_both_series(capsys):

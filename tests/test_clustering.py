@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from arcindex.clustering import (_pstdev, cluster_matrix, cluster_report,
                                  cluster_series, resolve_threshold)
 from arcindex.config import PipelineConfig
+from arcindex.errors import FormatError
 from arcindex.series import SentimentSeries, SeriesPoint
 from arcindex.similarity import SimilarityMatrix, spsi_matrix
 from oracle_reference import ref_adaptive_threshold, ref_average_linkage
@@ -220,7 +221,7 @@ def test_cluster_ids_are_smallest_member():
 def test_series_clustering_rejects_duplicate_ids():
     a = _series("same", [0.1, 0.2])
     b = _series("same", [0.3, 0.4])
-    with pytest.raises(ValueError):
+    with pytest.raises(FormatError, match="duplicate book_id"):
         cluster_series([a, b], PipelineConfig(), spsi_matrix([a, b], RATIO))
 
 
@@ -228,7 +229,7 @@ def test_precomputed_matrix_must_match_series():
     a = _series("a", [0.1, 0.2])
     b = _series("b", [0.3, 0.4])
     wrong = SimilarityMatrix(book_ids=["a", "zz"], values=[[1.0, 0.5], [0.5, 1.0]])
-    with pytest.raises(ValueError):
+    with pytest.raises(FormatError, match="do not match"):
         cluster_series([a, b], PipelineConfig(), wrong)
 
 

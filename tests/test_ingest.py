@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import stat
 import sys
 import tempfile
 from pathlib import Path
@@ -330,6 +331,21 @@ def test_failed_store_save_keeps_the_old_file_and_leaves_no_temp_file(tmp_path, 
         save_store(docs, path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["store.json"]
+
+
+def test_store_save_keeps_the_mode_a_plain_write_gives(tmp_path):
+    path, plain = tmp_path / "store.json", tmp_path / "plain.json"
+    docs = [BookDocument(book_id="b1", title="One", tokens=tokenize("Hello there."))]
+    umask = os.umask(0o077)
+    try:
+        save_store(docs, path)
+        plain.write_text("", encoding="utf-8")
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE(path.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode) == 0o600
+    path.chmod(0o640)
+    save_store(docs, path)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o640
 
 
 def test_store_bytes_are_stable(tmp_path):

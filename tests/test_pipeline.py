@@ -108,6 +108,12 @@ def test_build_from_documents_clusters_by_archetype(synth_small, synth_outcome,
     assert result.merge_trace
 
 
+def test_build_from_documents_refuses_a_repeated_book_id(synth_small, synth_cfg):
+    docs = synth_small.documents
+    with pytest.raises(FormatError, match="duplicate book_id"):
+        build_from_documents(docs + [docs[0]], synth_cfg)
+
+
 def test_matrix_entries_equal_the_pair_scorer(synth_cfg):
     # Series of 12, 11 and 7 points: pairs take the equal-length,
     # interpolated and secondary-pivot alignment routes.

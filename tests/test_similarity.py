@@ -140,7 +140,8 @@ BAD_PAIRS["inf-against-minus-inf"] = ([math.inf, 0.5], [0.2, -math.inf])
 @pytest.mark.parametrize("fn", [spsi, spsi_breakdown])
 def test_non_finite_or_negative_values_never_reach_the_formula(fn, pair):
     for a, b in (pair, pair[::-1]):
-        with pytest.raises(DegenerateSeries, match="finite and non-negative"):
+        with pytest.raises(DegenerateSeries,
+                           match=r"^s[12]: point \d+: (non-finite|negative value)"):
             fn(a, b)
 
 
@@ -175,6 +176,30 @@ def _series(book_id, values):
     n = len(values)
     points = [SeriesPoint(i / (n - 1), v) for i, v in enumerate(values)]
     return SentimentSeries(book_id=book_id, points=points)
+
+
+def test_from_pairs_scores_each_pair_once_into_both_triangles():
+    calls = []
+
+    def pair_score(x, y):
+        calls.append((x, y))
+        return float(10 * x + y)
+
+    m = SimilarityMatrix.from_pairs(("a", "b", "c"), [1, 2, 4], pair_score)
+    assert calls == [(1, 2), (1, 4), (2, 4)]
+    assert m.book_ids == ["a", "b", "c"]
+    assert m.values == [[1.0, 12.0, 14.0], [12.0, 1.0, 24.0], [14.0, 24.0, 1.0]]
+
+    def refuse_b_c(x, y):
+        calls.append((x, y))
+        if (x, y) == (2, 4):
+            raise DegenerateSeries("no value")
+        return 0.5
+
+    calls.clear()
+    with pytest.raises(DegenerateSeries, match=r"^pair \(b, c\): no value$"):
+        SimilarityMatrix.from_pairs(["a", "b", "c"], [1, 2, 4], refuse_b_c)
+    assert calls == [(1, 2), (1, 4), (2, 4)]
 
 
 def test_matrix_is_symmetric_with_unit_diagonal():
