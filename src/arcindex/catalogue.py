@@ -16,7 +16,9 @@ A catalogue checks its rules once, when it is made, so ``index``
 :class:`CatalogueEntry` and :class:`Catalogue` own them, and each
 series checks itself, as every :class:`SentimentSeries` does. An
 entry's book id follows the document id rule, so it is a plain file
-name. ``load`` only decodes: it checks the format version, the config
+name. ``load`` only decodes: it reads the JSON as the store does
+(``NaN`` and ``Infinity`` literals, nesting too deep and integers too
+long are refused), then checks the format version, the config
 (a valid :class:`PipelineConfig`) and that every stored position and
 value is an ``int`` or a ``float`` (not a ``bool``), read as a float.
 Anything refused is a ``FormatError`` naming the file; a 1.x catalogue
@@ -27,13 +29,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from .clustering import Cluster
 from .config import PipelineConfig
 from .errors import (ConfigError, DegenerateSeries, EmptyCatalogue, FormatError, UnknownBook,
                      VersionError)
-from .ingest import _BOOK_RULES, _not_utf8, _write_atomic
+from .ingest import _BOOK_RULES, _read_json, _write_atomic
 from .series import SentimentSeries, SeriesPoint
 from .similarity import score
 
@@ -188,19 +189,7 @@ def save(catalogue: Catalogue, path) -> None:
 
 
 def load(path) -> Catalogue:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError:
-        raise _not_utf8(path, FormatError) from None
-
-    def reject_constant(name):
-        raise FormatError(f"{path}: non-finite number {name} in catalogue")
-
-    try:
-        payload = json.loads(text, parse_constant=reject_constant)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: invalid catalogue JSON at offset {exc.pos}: {exc.msg}",
-                          offset=exc.pos) from exc
+    payload = _read_json(path)
     if not isinstance(payload, dict) or "format_version" not in payload:
         raise FormatError(f"{path}: not a catalogue file (no format_version)")
     version = payload["format_version"]

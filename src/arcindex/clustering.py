@@ -23,9 +23,7 @@ trace value.
 from __future__ import annotations
 
 import heapq
-import math
 import statistics
-from collections import defaultdict
 from dataclasses import dataclass
 
 from .config import PipelineConfig
@@ -52,40 +50,16 @@ def resolve_threshold(matrix: SimilarityMatrix, cfg: PipelineConfig) -> float:
     Adaptive mode pitches it half a standard deviation above the mean
     off-diagonal similarity, so corpora that are similar overall still
     split. Falls back to the fixed value when there is nothing to
-    measure.
+    measure. ``statistics.pstdev`` is correctly rounded from Python 3.11
+    on, so the threshold has the same bits on every supported Python.
     """
     if cfg.dt_mode == "fixed":
         return cfg.dt
     off = matrix.off_diagonal()
     if not off:
         return cfg.dt
-    value = statistics.fmean(off) + 0.5 * _pstdev(off)
+    value = statistics.fmean(off) + 0.5 * statistics.pstdev(off)
     return min(max(value, 1e-9), 1.0 - 1e-9)
-
-
-def _pstdev(values) -> float:
-    """The population standard deviation, correctly rounded on every Python.
-
-    ``statistics.pstdev`` rounds twice before 3.11, so its last bit
-    differs there. This sums the values and their squares exactly, as
-    integers per power-of-two denominator, takes the exact variance
-    (n*sum(x*x) - sum(x)**2) / (n*n), then its square root rounded to
-    odd and converted once, as 3.11's ``statistics._float_sqrt_of_frac``
-    does.
-    """
-    sums, squares = defaultdict(int), defaultdict(int)
-    for a, d in map(float.as_integer_ratio, map(float, values)):
-        sums[d] += a
-        squares[d] += a * a
-    top = max(sums)                                          # each d is a power of two
-    s = sum(a * (top // d) for d, a in sums.items())
-    q = sum(a * (top // d) ** 2 for d, a in squares.items())
-    num, den = len(values) * q - s * s, (len(values) * top) ** 2
-    shift = (num.bit_length() - den.bit_length() - 109) // 2  # keep 2 * 53 + 3 bits
-    num, den = num << max(-2 * shift, 0), den << max(2 * shift, 0)
-    root = math.isqrt(num // den)
-    root |= root * root * den != num                         # round to odd
-    return float(root << shift) if shift >= 0 else root / (1 << -shift)
 
 
 def _merge_loop(members: dict, matrix: SimilarityMatrix, similarity_of, on_merge,

@@ -162,10 +162,46 @@ def _csv_rows(path) -> list:
 
     Rows count from 1, blank ones included. The whole file is decoded
     first, so a byte that does not decode raises ``FormatError`` before
-    a reader sees any row.
+    a reader sees any row. A row the reader refuses, such as one with a
+    field over ``csv.field_size_limit()``, raises ``FormatError`` naming
+    the row.
     """
-    rows = csv.reader(_utf8_lines(path, FormatError, newline=""))
+    rows = []
+    try:
+        for row in csv.reader(_utf8_lines(path, FormatError, newline="")):
+            rows.append(row)
+    except csv.Error as exc:
+        raise FormatError(f"{path}: row {len(rows) + 1}: {exc}") from None
     return [(row_no, row) for row_no, row in enumerate(rows, start=1) if "".join(row).strip()]
+
+
+def _refuse_constant(name):
+    raise ValueError(f"non-finite number {name}")
+
+
+def _parse_json(text: str, source):
+    """The value of the JSON ``text``; a refusal is a ``FormatError`` naming ``source``.
+
+    ``NaN`` and ``Infinity`` literals are refused, and so are nesting
+    too deep for the decoder and integers too long for ``int``. A syntax
+    error keeps its position as the error's ``offset``.
+    """
+    try:
+        return json.loads(text, parse_constant=_refuse_constant)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{source}: invalid JSON at offset {exc.pos}: {exc.msg}",
+                          offset=exc.pos) from None
+    except (RecursionError, ValueError) as exc:
+        raise FormatError(f"{source}: invalid JSON: {exc}") from None
+
+
+def _read_json(path):
+    """The value of a UTF-8 JSON file, read whole; any refusal is a ``FormatError``."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise _not_utf8(path, FormatError) from None
+    return _parse_json(text, path)
 
 
 def _write_atomic(path, text: str) -> None:
@@ -219,9 +255,10 @@ def load_cmu_summaries(path):
 
     Columns: wikipedia_id, freebase_id, title, author, pub_date,
     genres-as-JSON-object, plot_summary. Returns ``(documents, skipped)``
-    where malformed rows (short rows, bad genre JSON, genre names that are
-    not strings, duplicate or missing ids, ids that are not plain file
-    names) are skipped and counted rather than raised.
+    where malformed rows (short rows, genre JSON that the store's reader
+    refuses, genre names that are not strings, duplicate or missing ids,
+    ids that are not plain file names) are skipped and counted rather
+    than raised.
     """
     rows, skipped = _summary_rows(path)
     return [BookDocument(book_id=book_id, title=title, author=author,
@@ -253,8 +290,8 @@ def _summary_rows(path):
         genres_raw = genres_raw.strip()
         if genres_raw:
             try:
-                genre_map = json.loads(genres_raw)
-            except json.JSONDecodeError:
+                genre_map = _parse_json(genres_raw, path)
+            except FormatError:
                 skipped += 1
                 continue
             if not (isinstance(genre_map, dict)
@@ -357,7 +394,9 @@ def save_store(docs, path) -> None:
     single spaces, and ``capitalized`` and ``sentence_start``, the sorted
     positions where that flag is true. A token that is not a string, is
     empty or holds a space raises ``FormatError`` naming the book and the
-    token's offset, before anything is written. The file is replaced
+    token's offset, before anything is written. So does a non-finite
+    number in a document's metadata, which JSON cannot hold (a store's
+    ``1e999`` loads as an infinity), naming the file. The file is replaced
     atomically, so an existing store keeps its bytes whenever a save
     fails.
     """
@@ -376,8 +415,12 @@ def save_store(docs, path) -> None:
             for d in docs
         ],
     }
-    # One dumps call: json.dump to a handle runs the pure-Python encoder.
-    _write_atomic(path, json.dumps(payload, separators=(",", ":"), sort_keys=True) + "\n")
+    try:
+        # One dumps call: json.dump to a handle runs the pure-Python encoder.
+        text = json.dumps(payload, separators=(",", ":"), sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise FormatError(f"{path}: cannot store the documents as JSON: {exc}") from None
+    _write_atomic(path, text + "\n")
 
 
 def _flags(positions, n: int) -> bytes:
@@ -412,13 +455,7 @@ def _tokens_from_payload(columns) -> Tokens:
 
 
 def load_store(path) -> list:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: invalid JSON: {exc}", offset=exc.pos)
-        except UnicodeDecodeError:
-            raise _not_utf8(path, FormatError) from None
+    payload = _read_json(path)
     if not isinstance(payload, dict) or payload.get("format") != STORE_FORMAT:
         raise FormatError(f"{path}: not a document store")
     if payload.get("version") != STORE_VERSION:

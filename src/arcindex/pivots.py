@@ -63,7 +63,7 @@ def smooth(values, radius: int) -> list:
         lo = max(0, i - radius)
         hi = min(n, i + radius + 1)
         # Add left to right: since Python 3.12, sum() of floats is
-        # compensated and would give other bits than 3.10 and 3.11.
+        # compensated and would give other bits than 3.11.
         total = 0.0
         for value in values[lo:hi]:
             total += value

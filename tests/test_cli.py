@@ -369,6 +369,16 @@ def test_non_finite_inputs_are_data_errors(tmp_path, capsys):
 
 SPSI_A = ["spsi", "--series-a", "a.csv", "--series-b", "a.csv"]
 CLUSTER_M = ["cluster", "--matrix", "m.csv"]
+INGEST_S = ["ingest", "s.json"]
+# Nesting too deep for the JSON decoder, and one CSV field over
+# csv.field_size_limit() (131,072 characters).
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+LONG_FIELD = "1" * 131_073
+# A valid store but for the NaN in its metadata.
+NAN_STORE = ('{"documents":[{"author":null,"book_id":"b1","language":"en",'
+             '"metadata":{"x":NaN},"title":"T","tokens":{"capitalized":[0],'
+             '"sentence_start":[0],"text":"more words"}}],'
+             '"format":"arcindex-store","version":"3.0"}')
 
 
 @pytest.mark.parametrize("name, text, argv, message", [
@@ -380,12 +390,26 @@ CLUSTER_M = ["cluster", "--matrix", "m.csv"]
     ("m.csv", "book_id,a,b\nb,1.0,0.5\na,0.5,1.0\n", CLUSTER_M, "row labels do not match"),
     ("m.csv", "book_id,a,a,b\na,1,0.9,0\na,0.9,1,0\nb,0,0,1\n", CLUSTER_M,
      "book id 'a' is repeated"),
-    ("s.json", '{"format": "arcindex-store", }', ["ingest", "s.json"], "invalid JSON"),
+    ("m.csv", f"book_id,a\na,{LONG_FIELD}\n", CLUSTER_M, "row 2: field larger than"),
+    ("a.csv", f"0.0,0.2\n{LONG_FIELD},0.3\n",
+     ["search", "--catalogue", "cat.json", "--pattern", "a.csv"], "row 2: field larger than"),
+    ("s.json", '{"format": "arcindex-store", }', INGEST_S, "invalid JSON"),
+    ("s.json", DEEP_JSON, INGEST_S, "invalid JSON: maximum recursion depth exceeded"),
+    ("s.json", '{"format": "arcindex-store", "version": ' + "1" * 5000 + "}", INGEST_S,
+     "invalid JSON: Exceeds the limit"),
+    ("s.json", NAN_STORE, INGEST_S, "invalid JSON: non-finite number NaN"),
+    ("c.json", DEEP_JSON, ["search", "--catalogue", "c.json", "--like", "synth-000"],
+     "invalid JSON: maximum recursion depth exceeded"),
 ], ids=["series-columns", "series-provenance", "matrix-empty", "matrix-row-count",
-        "matrix-non-numeric", "matrix-row-labels", "matrix-repeated-id", "store-json"])
-def test_malformed_reader_input_is_a_data_error(tmp_path, capsys, name, text, argv, message):
+        "matrix-non-numeric", "matrix-row-labels", "matrix-repeated-id", "matrix-long-field",
+        "pattern-long-field", "store-json", "store-deep", "store-long-int", "store-nan",
+        "catalogue-deep"])
+def test_malformed_reader_input_is_a_data_error(tmp_path, capsys, cli_catalogue, name, text,
+                                                argv, message):
+    # cat.json is a valid catalogue, for a case whose bad input is another file.
+    (tmp_path / "cat.json").write_text(json.dumps(cli_catalogue), encoding="utf-8")
     (tmp_path / name).write_text(text, encoding="utf-8")
-    assert main([str(tmp_path / a) if a == name else a for a in argv]) == 2
+    assert main([str(tmp_path / a) if a in (name, "cat.json") else a for a in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err

@@ -1,12 +1,13 @@
 import math
+import statistics
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arcindex.clustering import (_pstdev, cluster_matrix, cluster_report,
-                                 cluster_series, resolve_threshold)
+from arcindex.clustering import (cluster_matrix, cluster_report, cluster_series,
+                                 resolve_threshold)
 from arcindex.config import PipelineConfig
 from arcindex.errors import FormatError
 from arcindex.series import SentimentSeries, SeriesPoint
@@ -45,8 +46,8 @@ def test_adaptive_threshold_is_clamped_to_open_interval():
 
 
 def test_adaptive_threshold_has_the_same_bits_on_every_python():
-    # statistics.pstdev rounds twice before Python 3.11; there, this
-    # matrix's threshold would read 0x1.3af44fd8fea12p-1.
+    # statistics.pstdev is correctly rounded from Python 3.11 on; 3.10's
+    # rounds twice and reads this matrix's threshold as 0x1.3af44fd8fea12p-1.
     values = [[1.0, 0.96, 0.11, 0.93], [0.96, 1.0, 0.21, 0.22],
               [0.11, 0.21, 1.0, 0.17], [0.93, 0.22, 0.17, 1.0]]
     value = resolve_threshold(SimilarityMatrix(list("abcd"), values),
@@ -54,6 +55,8 @@ def test_adaptive_threshold_has_the_same_bits_on_every_python():
     assert value.hex() == "0x1.3af44fd8fea13p-1"
 
 
+# resolve_threshold keeps its bits across Pythons only while pstdev is
+# correctly rounded; this checks that on each interpreter the tests run on.
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 1e-300)),
                 min_size=1, max_size=50))
@@ -61,7 +64,7 @@ def test_population_deviation_is_correctly_rounded(xs):
     exact = [Fraction(x) for x in xs]
     mean = sum(exact) / len(exact)
     variance = sum((x - mean) ** 2 for x in exact) / len(exact)
-    root = _pstdev(xs)
+    root = statistics.pstdev(xs)
     below, above = math.nextafter(root, 0.0), math.nextafter(root, 1.0)
     assert ((Fraction(below) + Fraction(root)) / 2) ** 2 <= variance
     assert variance <= ((Fraction(root) + Fraction(above)) / 2) ** 2

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import stat
@@ -133,6 +134,18 @@ def test_load_plain_text_rejects_empty_files(tmp_path):
         load_plain_text(path, book_id="b1")
 
 
+# Inputs every JSON reader refuses: nesting too deep for the decoder, an
+# integer too long for int(), and a store that is valid but for one NaN.
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+LONG_INT_STORE = '{"format": "arcindex-store", "version": ' + "1" * 5000 + "}"
+NAN_STORE = ('{"documents":[{"author":null,"book_id":"b1","language":"en",'
+             '"metadata":{"x":NaN},"title":"T","tokens":{"capitalized":[0],'
+             '"sentence_start":[0],"text":"more words"}}],'
+             '"format":"arcindex-store","version":"3.0"}')
+# One field over csv.field_size_limit() (131,072 characters).
+LONG_FIELD = "1" * 131_073
+
+
 @pytest.mark.parametrize("loader, error, text, message, attrs", [
     (read_series_csv, FormatError, "0.0,0.2,primary,x\n1.0,0.3\n",
      "row 1: expected 2 or 3 columns", {}),
@@ -147,11 +160,30 @@ def test_load_plain_text_rejects_empty_files(tmp_path):
      "row labels do not match header labels", {}),
     (read_matrix_csv, FormatError, "book_id,a,a,b\na,1,0,0\na,0,1,0\nb,0,0,1\n",
      "book id 'a' is repeated", {}),
-    (load_store, FormatError, '{"format": "arcindex-store", }', "invalid JSON", {"offset": 29}),
+    (read_series_csv, FormatError, f"0.0,0.2\n{LONG_FIELD},0.3\n",
+     "row 2: field larger than field limit", {}),
+    (read_matrix_csv, FormatError, f"book_id,a\na,{LONG_FIELD}\n",
+     "row 2: field larger than field limit", {}),
+    (load_labels, FormatError, f"book_id,label\nb1,{LONG_FIELD}\n",
+     "row 2: field larger than field limit", {}),
+    # Python 3.13 places a trailing comma's error 2 characters before 3.11
+    # and 3.12 do; a missing comma has one offset on all three.
+    (load_store, FormatError, '{"format": "arcindex-store" "version": "3.0"}',
+     "invalid JSON at offset 28: Expecting ',' delimiter", {"offset": 28}),
+    (load_store, FormatError, DEEP_JSON, "invalid JSON: maximum recursion depth exceeded", {}),
+    (load_store, FormatError, LONG_INT_STORE, "invalid JSON: Exceeds the limit", {}),
+    (load_store, FormatError, NAN_STORE, "invalid JSON: non-finite number NaN", {}),
+    (load_store, FormatError, NAN_STORE.replace("NaN", "-Infinity"),
+     "invalid JSON: non-finite number -Infinity", {}),
+    (load_catalogue, FormatError, DEEP_JSON, "invalid JSON: maximum recursion depth exceeded", {}),
+    (load_catalogue, FormatError, '{"format_version": ' + "1" * 5000 + "}",
+     "invalid JSON: Exceeds the limit", {}),
     (load_lexicon, LexiconError, "fine\t0.2\nodd\t0.1\textra\n",
      "line 2: expected term<TAB>polarity", {"line_no": 2}),
 ], ids=["series-columns", "series-provenance", "matrix-empty", "matrix-row-count",
-        "matrix-non-numeric", "matrix-row-labels", "matrix-repeated-id", "store-json",
+        "matrix-non-numeric", "matrix-row-labels", "matrix-repeated-id", "series-long-field",
+        "matrix-long-field", "labels-long-field", "store-json", "store-deep", "store-long-int",
+        "store-nan", "store-infinity", "catalogue-deep", "catalogue-long-int",
         "lexicon-fields"])
 def test_malformed_input_raises_its_typed_error(tmp_path, loader, error, text, message,
                                                 attrs):
@@ -223,6 +255,18 @@ def test_summary_tsv_skips_genre_maps_of_non_strings(tmp_path, genres):
     path = tmp_path / "summaries.tsv"
     path.write_text(_tsv_row(1) + "\n" + _tsv_row(2, genres=genres) + "\n",
                     encoding="utf-8")
+    docs, skipped = load_cmu_summaries(path)
+    assert [d.book_id for d in docs] == ["1001"]
+    assert skipped == 1
+
+
+@pytest.mark.parametrize("cell", [DEEP_JSON, '{"a": ' + "1" * 5000 + "}"],
+                         ids=["deep", "long-int"])
+def test_summary_tsv_skips_genre_cells_the_json_reader_refuses(tmp_path, cell):
+    row = _tsv_row(2).split("\t")
+    row[5] = cell
+    path = tmp_path / "summaries.tsv"
+    path.write_text(_tsv_row(1) + "\n" + "\t".join(row) + "\n", encoding="utf-8")
     docs, skipped = load_cmu_summaries(path)
     assert [d.book_id for d in docs] == ["1001"]
     assert skipped == 1
@@ -328,6 +372,20 @@ def test_failed_store_save_keeps_the_old_file_and_leaves_no_temp_file(tmp_path, 
     monkeypatch.setattr("arcindex.ingest.os.replace", fail)
     docs.append(BookDocument(book_id="b2", title="Two", tokens=tokenize("More words.")))
     with pytest.raises(OSError, match="disk full"):
+        save_store(docs, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["store.json"]
+
+
+@pytest.mark.parametrize("number", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+def test_store_save_refuses_a_non_finite_number(tmp_path, number):
+    # 1e999 loads as inf, so a loaded document can hold one; JSON cannot.
+    path = tmp_path / "store.json"
+    save_store([BookDocument(book_id="b1", title="One", tokens=tokenize("Hello there."))], path)
+    before = path.read_bytes()
+    docs = [BookDocument(book_id="b1", title="One", tokens=tokenize("Hello there."),
+                         metadata={"x": number})]
+    with pytest.raises(FormatError, match="cannot store the documents as JSON"):
         save_store(docs, path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["store.json"]
