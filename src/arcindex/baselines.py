@@ -40,6 +40,16 @@ def _tfidf(bags: dict) -> dict:
     return vectors
 
 
+def _bag(tokens) -> dict:
+    """Word -> count over the tokens, words in the order each is first used.
+
+    The codes are counted, and only the distinct ones are mapped back to
+    words; a ``Counter`` keeps first-use order, as one over the words would.
+    """
+    vocab = tokens.vocab
+    return {vocab[code]: count for code, count in Counter(tokens.codes).items()}
+
+
 def baseline1_vectors(docs) -> dict:
     """Metadata TF-IDF: title, author and genre tokens."""
     bags = {}
@@ -48,7 +58,7 @@ def baseline1_vectors(docs) -> dict:
         if doc.author:
             parts.append(doc.author)
         parts.extend(doc.metadata.get("genres", []))
-        bags[doc.book_id] = Counter(tokenize(" ".join(parts)).text)
+        bags[doc.book_id] = _bag(tokenize(" ".join(parts)))
     return _tfidf(bags)
 
 
@@ -58,12 +68,12 @@ def baseline2_vectors(docs) -> dict:
     for doc in docs:
         summary = doc.metadata.get("summary")
         if summary:
-            tokens = tokenize(summary).text
+            tokens = tokenize(summary)
         elif doc.tokens:
-            tokens = doc.tokens.text
+            tokens = doc.tokens
         else:
             raise MissingText(f"{doc.book_id}: no summary and no body text")
-        bags[doc.book_id] = Counter(tokens)
+        bags[doc.book_id] = _bag(tokens)
     return _tfidf(bags)
 
 

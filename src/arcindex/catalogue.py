@@ -19,8 +19,10 @@ entry's book id follows the document id rule, so it is a plain file
 name. ``load`` only decodes: it reads the JSON as the store does
 (``NaN`` and ``Infinity`` literals, nesting too deep and integers too
 long are refused), then checks the format version, the config
-(a valid :class:`PipelineConfig`) and that every stored position and
-value is an ``int`` or a ``float`` (not a ``bool``), read as a float.
+(a valid :class:`PipelineConfig`), that ``entries`` and ``clusters``
+are lists of objects and each ``series`` or ``representative`` a list
+of points, and that every stored position and value is an ``int`` or a
+``float`` (not a ``bool``), read as a float.
 Anything refused is a ``FormatError`` naming the file; a 1.x catalogue
 is a ``VersionError``. ``save`` replaces the file atomically.
 """
@@ -159,17 +161,23 @@ def _series_payload(series: SentimentSeries) -> list:
     return [{"position": p.position, "value": p.value} for p in series.points]
 
 
-def _series_from_payload(book_id: str, payload) -> SentimentSeries:
+def _series_from_payload(book_id: str, payload, where: str) -> SentimentSeries:
+    """The stored series of ``book_id``; ``where`` names its field in a refusal."""
+    if not isinstance(payload, list):
+        raise ValueError(f"{where} must be a list of points")
     points = []
-    for row in payload:
-        position, value = row["position"], row["value"]
-        if type(position) is not float or type(value) is not float:
-            # Exact type tests: they turn a bool away, which isinstance would take.
-            if type(position) not in (int, float) or type(value) not in (int, float):
-                raise ValueError(f"series of {book_id!r}: point {len(points) + 1}: "
-                                 "non-numeric position/value")
-            position, value = float(position), float(value)
-        points.append(SeriesPoint(position, value))
+    try:
+        for row in payload:
+            position, value = row["position"], row["value"]
+            if type(position) is not float or type(value) is not float:
+                # Exact type tests: they turn a bool away, which isinstance would take.
+                if type(position) not in (int, float) or type(value) not in (int, float):
+                    raise ValueError(f"series of {book_id!r}: point {len(points) + 1}: "
+                                     "non-numeric position/value")
+                position, value = float(position), float(value)
+            points.append(SeriesPoint(position, value))
+    except TypeError:       # a point that is not an object
+        raise ValueError(f"{where} must be a list of points") from None
     return SentimentSeries(book_id=book_id, points=points)
 
 
@@ -205,9 +213,14 @@ def load(path) -> Catalogue:
     except (TypeError, ConfigError) as exc:
         raise FormatError(f"{path}: bad catalogue config: {exc}") from None
     try:
+        for name in ("entries", "clusters"):
+            rows = payload[name]
+            if not (isinstance(rows, list) and all(isinstance(row, dict) for row in rows)):
+                raise ValueError(f"{name} must be a list of objects")
         entries = [CatalogueEntry(book_id=e["book_id"], title=e["title"], author=e.get("author"),
                                   cluster_id=e["cluster_id"],
-                                  series=_series_from_payload(e["book_id"], e["series"]))
+                                  series=_series_from_payload(e["book_id"], e["series"],
+                                                              f"entry {e['book_id']!r}: series"))
                    for e in payload["entries"]]
         members = {}            # cluster id -> ids of the entries naming it
         for e in entries:
@@ -217,8 +230,9 @@ def load(path) -> Catalogue:
             cid = c["cluster_id"]
             # Only a string id is looked up; Catalogue refuses any other in its own words.
             ids = sorted(members.get(cid, ())) if isinstance(cid, str) else []
-            clusters.append(Cluster(cid, ids, _series_from_payload(f"cluster:{cid}",
-                                                                   c["representative"])))
+            rep = _series_from_payload(f"cluster:{cid}", c["representative"],
+                                       f"cluster {cid!r}: representative")
+            clusters.append(Cluster(cid, ids, rep))
         return Catalogue(format_version=version, config=config,
                          clusters=clusters, entries=entries)
     except (KeyError, TypeError, ValueError, OverflowError, DegenerateSeries,

@@ -9,6 +9,7 @@ fold variant surface forms into one canonical profile.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import combinations, compress
@@ -64,15 +65,18 @@ def extract_characters(doc: BookDocument, aliases: AliasTable | None = None) -> 
     the alias table or was seen capitalized mid-sentence elsewhere;
     runs with no known suffix are dropped.
 
-    Runs repeat a few surface forms many times, so each distinct
-    (token texts, sentence-initial) key is resolved once per book.
+    Runs repeat a few surface forms many times, so each distinct key, a
+    run's codes as bytes and whether it opens a sentence, is decoded to
+    its words and resolved once per book.
     """
-    text, starts = doc.tokens.text, doc.tokens.sentence_start
-    runs = [(start, (tuple(text[start:end]), starts[start]))
-            for start, end in _capitalized_runs(doc.tokens)]
-    keys = dict.fromkeys(key for _, key in runs)
+    tokens = doc.tokens
+    codes, starts, vocab = tokens.codes, tokens.sentence_start, tokens.vocab
+    runs = [(start, (codes[start:end].tobytes(), starts[start]))
+            for start, end in _capitalized_runs(tokens)]
+    keys = {key: tuple(map(vocab.__getitem__, array(codes.typecode, key[0])))
+            for key in dict.fromkeys(key for _, key in runs)}
     # Surface forms seen capitalized mid-sentence; "i" is never a name.
-    validated = {" ".join(texts) for texts, initial in keys if not initial}
+    validated = {" ".join(texts) for (_, initial), texts in keys.items() if not initial}
     validated.discard("i")
 
     def resolve(surface):
@@ -85,14 +89,14 @@ def extract_characters(doc: BookDocument, aliases: AliasTable | None = None) -> 
         return None
 
     resolved = {}             # key -> (offset into the run, canonical) or None
-    for texts, initial in keys:
+    for key, texts in keys.items():
         mention = None
-        for k in range(len(texts)) if initial else (0,):
+        for k in range(len(texts)) if key[1] else (0,):
             canonical = resolve(" ".join(texts[k:]))
             if canonical is not None:
                 mention = (k, canonical)
                 break
-        resolved[texts, initial] = mention
+        resolved[key] = mention
 
     # Runs are disjoint and ascending, so each name's positions come out
     # sorted and no two names share a first mention.

@@ -318,6 +318,8 @@ def _cmd_index(args, cfg):
 def _cmd_search(args, cfg):
     if bool(args.like) == bool(args.pattern):
         raise UsageError("search needs exactly one of --like or --pattern")
+    if args.k < 1:
+        raise ArcIndexError(f"-k must be at least 1, got {args.k}")
     catalogue = load_catalogue(args.catalogue)
     payload = {"results": []}
     lines = []

@@ -1,15 +1,21 @@
 """Corpus ingestion: tokenization, logical blocks, lexicon and alias files.
 
-A document's tokens are three parallel columns: the lowercased text,
-whether the original surface form was capitalized, and whether the
-token opens a sentence. The two flag columns are ``bytes``, one byte
-(0 or 1) per token. Character mining needs the capital flags, sentiment
-lookup the lowercase text, and the sentence flag keeps ordinary
-sentence-initial capitals from looking like names.
+A document's text is coded against its own vocabulary: each distinct
+lowercased word is kept once, in the order it is first used, and each
+token is a small integer code into that vocabulary, two bytes per token
+in an ``array('H')`` (four, in an ``array('I')``, past 65,536 words).
+Two flag columns run beside the codes, ``bytes`` of one byte (0 or 1)
+per token: whether the original surface form was capitalized, and
+whether the token opens a sentence. Character mining keys runs on their
+codes and needs the capital flags, sentiment looks each vocabulary
+word's polarity up once per document, and the sentence flag keeps
+ordinary sentence-initial capitals from looking like names. The store
+(format 4.0) saves the vocabulary and the codes as they are held.
 """
 
 from __future__ import annotations
 
+import binascii
 import csv
 import json
 import math
@@ -18,6 +24,7 @@ import re
 import stat
 import sys
 import tempfile
+from array import array
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import compress
@@ -31,19 +38,38 @@ _WORD_SPLIT = re.compile(r"(\w+(?:['’]\w+)*)")
 _SENTENCE_END = frozenset(".!?")
 
 
+# Codes take two bytes while the vocabulary has at most this many words.
+_SHORT_CODE_WORDS = 1 << 16
+
+
+def _code_type(vocab_size: int) -> str:
+    """The array typecode of a document's codes: ``'H'``, or ``'I'`` past 65,536 words."""
+    return "H" if vocab_size <= _SHORT_CODE_WORDS else "I"
+
+
 @dataclass(slots=True)
 class Tokens:
-    """One document's token stream, stored column by column.
+    """One document's token stream: a vocabulary and three columns.
 
-    The flag columns are ``bytes``, one byte (0 or 1) per token.
+    ``codes`` holds each token's index into ``vocab``, in an array whose
+    typecode ``_code_type`` sets from the vocabulary's size. The flag
+    columns are ``bytes``, one byte (0 or 1) per token.
     """
 
-    text: list              # lowercased surface forms, interned
+    vocab: list             # distinct lowercased words, interned, in first-use order
+    codes: array            # each token's index into vocab
     capitalized: bytes      # original form started with an uppercase letter
     sentence_start: bytes   # first token of the text or follows ., ! or ?
 
     def __len__(self) -> int:
-        return len(self.text)
+        return len(self.codes)
+
+    def words(self) -> list:
+        """Each token's word, in order: a decoded copy of the whole text.
+
+        For callers off the hot paths; the pipeline reads the codes.
+        """
+        return list(map(self.vocab.__getitem__, self.codes))
 
 
 def _plain_file_name(book_id) -> bool:
@@ -93,7 +119,7 @@ class BookDocument:
     author: str | None = None
     language: str = "en"
     metadata: dict = field(default_factory=dict)
-    # (config values, lexicon, aliases, BookAnalysis) of the last
+    # (config copy, lexicon, aliases, BookAnalysis) of the last
     # analysis; see pipeline.analyze_book. Never saved by save_store.
     _analysis: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
@@ -125,12 +151,18 @@ def tokenize(text: str) -> Tokens:
     parts = _WORD_SPLIT.split(text)
     words = parts[1::2]
     if not words:
-        return Tokens([], b"", b"")
+        return Tokens([], array("H"), b"", b"")
     gaps = parts[2:-1:2]     # gaps[i] lies between words[i] and words[i + 1]
-    # A text repeats a few gap strings over and over: test each one once.
+    # A text repeats a few gap strings and surface forms over and over:
+    # test each gap once, and lowercase, intern and code each form once.
     ends = {gap: not _SENTENCE_END.isdisjoint(gap) for gap in set(gaps)}
-    return Tokens(list(map(sys.intern, map(str.lower, words))),
-                  bytes([word[0].isupper() for word in words]),
+    index = {}               # lowercased word -> code, in first-use order
+    surface = {form: index.setdefault(sys.intern(form.lower()), len(index))
+               for form in dict.fromkeys(words)}
+    codes = array(_code_type(len(index)))
+    codes.fromlist(list(map(surface.__getitem__, words)))
+    capital = {form: form[0].isupper() for form in surface}
+    return Tokens(list(index), codes, bytes(map(capital.__getitem__, words)),
                   bytes([True, *map(ends.__getitem__, gaps)]))
 
 
@@ -359,46 +391,64 @@ def load_default_lexicon() -> dict:
 
 
 STORE_FORMAT = "arcindex-store"
-STORE_VERSION = "3.0"
+STORE_VERSION = "4.0"
+
+
+def _stored_codes(codes, vocab_size: int) -> str:
+    """Codes as stored: base64 of their little-endian bytes, at ``_code_type``'s width."""
+    stored = array(_code_type(vocab_size), codes)
+    if sys.byteorder == "big":
+        stored.byteswap()
+    return binascii.b2a_base64(stored.tobytes(), newline=False).decode("ascii")
 
 
 def _stored_tokens(doc) -> dict:
-    """A document's token columns as stored: one text string, two lists of positions.
+    """A document's tokens as stored: the vocabulary, the codes and two position lists.
 
-    The words are joined with single spaces, so a word that is not a
-    string, is empty or holds a space cannot be stored; ``tokenize``
-    never yields one.
+    The vocabulary's words are joined with single spaces, so a word that
+    is not a string, is empty, holds a space or repeats cannot be
+    stored; neither can a code that names no word. ``tokenize`` never
+    yields either.
     """
     tokens = doc.tokens
-    text, n = tokens.text, len(tokens)
+    vocab, codes, n = tokens.vocab, tokens.codes, len(tokens)
     if not len(tokens.capitalized) == len(tokens.sentence_start) == n:
         raise FormatError(f"book {doc.book_id!r}: token columns differ in length")
     try:
-        joined = " ".join(text)
-    except TypeError:       # a token that is not a string
+        joined = " ".join(vocab)
+    except TypeError:       # a word that is not a string
         joined = None
-    if joined is None or "" in text or joined.count(" ") != max(n - 1, 0):
-        offset = next(i for i, t in enumerate(text)
-                      if not isinstance(t, str) or not t or " " in t)
-        raise FormatError(f"book {doc.book_id!r}: token {offset} ({text[offset]!r}) is not "
-                          "a string, is empty or holds a space, so it cannot be stored")
-    return {"text": joined,
+    if (joined is None or "" in vocab or joined.count(" ") != max(len(vocab) - 1, 0)
+            or len(set(vocab)) != len(vocab)):
+        offset = next(i for i, w in enumerate(vocab)
+                      if not isinstance(w, str) or not w or " " in w or w in vocab[:i])
+        raise FormatError(f"book {doc.book_id!r}: vocabulary word {offset} ({vocab[offset]!r}) "
+                          "is not a string, is empty, holds a space or repeats, so it cannot "
+                          "be stored")
+    if codes and max(codes) >= len(vocab):
+        raise FormatError(f"book {doc.book_id!r}: code {max(codes)} names no word of a "
+                          f"{len(vocab)}-word vocabulary")
+    return {"vocab": joined,
+            "codes": _stored_codes(codes, len(vocab)),
             "capitalized": list(compress(range(n), tokens.capitalized)),
             "sentence_start": list(compress(range(n), tokens.sentence_start))}
 
 
 def save_store(docs, path) -> None:
-    """Persist normalized documents as JSON (format 3.0).
+    """Persist normalized documents as JSON (format 4.0).
 
-    Each document's tokens are stored as ``text``, its words joined by
-    single spaces, and ``capitalized`` and ``sentence_start``, the sorted
-    positions where that flag is true. A token that is not a string, is
-    empty or holds a space raises ``FormatError`` naming the book and the
-    token's offset, before anything is written. So does a non-finite
-    number in a document's metadata, which JSON cannot hold (a store's
-    ``1e999`` loads as an infinity), naming the file. The file is replaced
-    atomically, so an existing store keeps its bytes whenever a save
-    fails.
+    Each document's tokens are stored as ``vocab``, its vocabulary's
+    words joined by single spaces in code order; ``codes``, the base64
+    of the tokens' codes as little-endian unsigned integers, two bytes
+    each, or four when the vocabulary has more than 65,536 words; and
+    ``capitalized`` and ``sentence_start``, the sorted positions where
+    that flag is true. A vocabulary word that is not a string, is empty,
+    holds a space or repeats, or a code that names no word, raises
+    ``FormatError`` naming the book, before anything is written. So does
+    a non-finite number in a document's metadata, which JSON cannot hold
+    (a store's ``1e999`` loads as an infinity), naming the file. The
+    file is replaced atomically, so an existing store keeps its bytes
+    whenever a save fails.
     """
     payload = {
         "format": STORE_FORMAT,
@@ -439,22 +489,43 @@ def _flags(positions, n: int) -> bytes:
 def _tokens_from_payload(columns) -> Tokens:
     """Decode a stored document's tokens, checked with no per-token Python loop.
 
-    ``text`` must be a string of words split by single spaces (no
-    double, leading or trailing space), and each flag column a strictly
-    increasing list of integer positions inside the document. Words are
-    interned; an empty ``text`` is a document with no tokens.
+    ``vocab`` must be a string of distinct words split by single spaces
+    (no double, leading or trailing space), ``codes`` base64 whose byte
+    count is a multiple of the code width, every code naming a word, and
+    each flag column a strictly increasing list of integer positions
+    inside the document. Words are interned; an empty ``vocab`` and
+    ``codes`` are a document with no tokens.
     """
-    text = columns["text"]
-    if not isinstance(text, str):
-        raise TypeError("token text must be a string")
-    words = list(map(sys.intern, text.split(" "))) if text else []
-    if "" in words:
-        raise ValueError("token text has an empty word (a double, leading or trailing space)")
-    n = len(words)
-    return Tokens(words, _flags(columns["capitalized"], n), _flags(columns["sentence_start"], n))
+    vocab, stored = columns["vocab"], columns["codes"]
+    if not (isinstance(vocab, str) and isinstance(stored, str)):
+        raise TypeError("token vocab and codes must be strings")
+    vocab = list(map(sys.intern, vocab.split(" "))) if vocab else []
+    if "" in vocab:
+        raise ValueError("token vocab has an empty word (a double, leading or trailing space)")
+    if len(set(vocab)) != len(vocab):
+        raise ValueError("token vocab repeats a word")
+    data = binascii.a2b_base64(stored, strict_mode=True)   # binascii.Error is a ValueError
+    codes = array(_code_type(len(vocab)))
+    codes.frombytes(data)   # a byte count that is not a multiple of the width is a ValueError
+    if sys.byteorder == "big":
+        codes.byteswap()
+    if codes and max(codes) >= len(vocab):
+        raise ValueError(f"token code {max(codes)} names no word of a {len(vocab)}-word "
+                         "vocabulary")
+    n = len(codes)
+    return Tokens(vocab, codes, _flags(columns["capitalized"], n),
+                  _flags(columns["sentence_start"], n))
 
 
 def load_store(path) -> list:
+    """The documents of a store written by ``save_store`` (format 4.0).
+
+    Each document is checked as it is made (see ``BookDocument``), its
+    tokens as ``_tokens_from_payload`` says, and book ids may not
+    repeat. A store of another version, a 3.x store included, raises
+    ``FormatError`` asking for a fresh ``arcindex ingest``; anything
+    else refused is a ``FormatError`` naming the file.
+    """
     payload = _read_json(path)
     if not isinstance(payload, dict) or payload.get("format") != STORE_FORMAT:
         raise FormatError(f"{path}: not a document store")

@@ -7,7 +7,7 @@ catalogue assembly) then run over all of the resulting series.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .baselines import (agreement, baseline1_vectors, baseline2_vectors,
@@ -48,9 +48,9 @@ def analyze_book(doc: BookDocument, cfg: PipelineConfig,
                  aliases: AliasTable | None = None) -> BookAnalysis:
     """Run the per-book stages and produce the book's sentiment series.
 
-    The result is kept on the document together with the config's field
-    values and the lexicon and alias table objects it came from. A later
-    call with equal config values and the very same lexicon and alias
+    The result is kept on the document together with a copy of the
+    config and the lexicon and alias table objects it came from. A later
+    call with an equal config and the very same lexicon and alias
     table returns that same ``BookAnalysis`` without re-running the
     stages. So the document, the lexicon and the alias table are values
     once analysed: do not change them afterwards. A returned analysis
@@ -59,12 +59,12 @@ def analyze_book(doc: BookDocument, cfg: PipelineConfig,
     """
     if lexicon is None:
         lexicon = load_default_lexicon()
-    key = astuple(cfg)
     kept = doc._analysis
-    if kept is not None and kept[0] == key and kept[1] is lexicon and kept[2] is aliases:
+    if kept is not None and kept[0] == cfg and kept[1] is lexicon and kept[2] is aliases:
         return kept[3]
     analysis = _analyze(doc, cfg, lexicon, aliases)
-    doc._analysis = (key, lexicon, aliases, analysis)
+    # A copy: PipelineConfig is mutable, and the caller may change theirs.
+    doc._analysis = (replace(cfg), lexicon, aliases, analysis)
     return analysis
 
 

@@ -38,19 +38,24 @@ def block_sentiment(block, doc: BookDocument, lexicon: dict,
 
     Blocks without lexicon hits score a neutral 0.5 (before alpha).
     """
-    total = 0.0
-    hits = 0
-    for polarity in map(lexicon.get, doc.tokens.text[block.start:block.end]):
-        if polarity is not None:
-            total += polarity
-            hits += 1
-    raw = total / hits if hits else 0.0
-    sv = (raw + 1.0) / 2.0 + cfg.alpha
-    return min(1.0, max(0.0, sv))
+    return block_sentiments([block], doc, lexicon, cfg)[0]
 
 
-def block_sentiments(blocks, doc, lexicon, cfg) -> list:
-    return [block_sentiment(b, doc, lexicon, cfg) for b in blocks]
+def block_sentiments(blocks, doc: BookDocument, lexicon: dict, cfg: PipelineConfig) -> list:
+    """``block_sentiment`` of each block, looking each vocabulary word up once."""
+    codes = doc.tokens.codes
+    polarity = list(map(lexicon.get, doc.tokens.vocab))
+    out = []
+    for block in blocks:
+        total = 0.0
+        hits = 0
+        for value in map(polarity.__getitem__, codes[block.start:block.end]):
+            if value is not None:
+                total += value
+                hits += 1
+        raw = total / hits if hits else 0.0
+        out.append(min(1.0, max(0.0, (raw + 1.0) / 2.0 + cfg.alpha)))
+    return out
 
 
 def smooth(values, radius: int) -> list:

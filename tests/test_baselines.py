@@ -76,6 +76,18 @@ def test_summary_vectors_fall_back_to_body_text():
     assert "wind" in vectors["b2"]
 
 
+def test_vectors_keep_each_term_in_first_use_order():
+    # _tfidf, _norm and _cosine add in a bag's order, so the order is part of the bits.
+    docs = [
+        _doc("b1", title="Zeta Alpha", author="Zeta Mid", genres=["Beta"],
+             body="zeta alpha zeta mid beta"),
+        _doc("b2", summary="Omega beta omega alpha"),
+    ]
+    assert list(baseline1_vectors(docs)["b1"]) == ["zeta", "alpha", "mid", "beta"]
+    assert list(baseline2_vectors(docs)["b1"]) == ["zeta", "alpha", "mid", "beta"]
+    assert list(baseline2_vectors(docs)["b2"]) == ["omega", "beta", "alpha"]
+
+
 def test_summary_vectors_need_some_text():
     docs = [_doc("b1")]
     with pytest.raises(MissingText, match="b1"):

@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 from arcindex.characters import (_pair_window_count, co_occurrence, extract_characters,
                                  select_core, select_prime)
 from arcindex.errors import CoreExtractionError
-from arcindex.ingest import AliasTable, BookDocument, Tokens, tokenize
+from arcindex.ingest import AliasTable, BookDocument, tokenize
 from oracle_reference import ref_extract_characters
+from token_columns import tokens_from_words
 
 
 def _doc(text, book_id="bk"):
@@ -148,8 +149,7 @@ def _token_streams(draw):
     sentence_start = draw(st.lists(st.booleans(), min_size=n, max_size=n))
     if n:
         sentence_start[0] = True
-    return Tokens(text=text, capitalized=bytes(capitalized),
-                  sentence_start=bytes(sentence_start))
+    return tokens_from_words(text, capitalized, sentence_start)
 
 
 @settings(max_examples=300, deadline=None)
@@ -159,5 +159,5 @@ def test_profiles_match_the_per_run_reference(tokens, aliases):
     got = [(p.canonical_name, p.mention_count, p.first_mention, p.mention_positions)
            for p in extract_characters(doc, aliases)]
     resolve = aliases.resolve if aliases is not None else None
-    assert got == ref_extract_characters(tokens.text, list(map(bool, tokens.capitalized)),
+    assert got == ref_extract_characters(tokens.words(), list(map(bool, tokens.capitalized)),
                                          list(map(bool, tokens.sentence_start)), resolve)

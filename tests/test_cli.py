@@ -304,6 +304,33 @@ def test_search_by_pattern_reports_nearest_cluster(cli_corpus, tmp_path, capsys)
     assert payload["results"][0]["spsi"] == pytest.approx(1.0, abs=1e-9)
 
 
+def test_ingest_of_a_format_3_store_is_a_data_error(tmp_path, capsys):
+    store = tmp_path / "old.json"
+    store.write_text('{"documents":[{"author":null,"book_id":"b","language":"en",'
+                     '"metadata":{},"title":"B","tokens":{"capitalized":[0],'
+                     '"sentence_start":[0],"text":"word"}}],'
+                     '"format":"arcindex-store","version":"3.0"}\n', encoding="utf-8")
+    for argv in (["ingest", str(store)], ["index", str(store), "-o", str(tmp_path / "c.json")]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "version '3.0' is not '4.0'" in err
+        assert "arcindex ingest" in err
+        assert "Traceback" not in err
+    assert not (tmp_path / "c.json").exists()
+
+
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_search_refuses_a_count_below_one(cli_catalogue, tmp_path, capsys, k):
+    path = tmp_path / "catalogue.json"
+    path.write_text(json.dumps(cli_catalogue), encoding="utf-8")
+    assert main(["search", "--catalogue", str(path), "--like", "synth-000", "-k", k]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"-k must be at least 1, got {k}" in err
+    assert main(["search", "--catalogue", str(path), "--like", "synth-000", "-k", "1"]) == 0
+    assert capsys.readouterr().out.startswith("1. ")
+
+
 def test_search_needs_exactly_one_query(tmp_path, capsys):
     assert main(["search", "--catalogue", "cat.json"]) == 1
     assert main(["search", "--catalogue", "cat.json",
@@ -377,8 +404,8 @@ LONG_FIELD = "1" * 131_073
 # A valid store but for the NaN in its metadata.
 NAN_STORE = ('{"documents":[{"author":null,"book_id":"b1","language":"en",'
              '"metadata":{"x":NaN},"title":"T","tokens":{"capitalized":[0],'
-             '"sentence_start":[0],"text":"more words"}}],'
-             '"format":"arcindex-store","version":"3.0"}')
+             '"codes":"AAABAA==","sentence_start":[0],"vocab":"more words"}}],'
+             '"format":"arcindex-store","version":"4.0"}')
 
 
 @pytest.mark.parametrize("name, text, argv, message", [
@@ -541,6 +568,35 @@ def test_search_refuses_an_entry_id_that_is_not_a_file_name(cli_catalogue, tmp_p
     out, err = capsys.readouterr()
     assert f"{path}: malformed catalogue structure: entry '../x': book_id is not a plain " \
            "file name" in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("corrupt, rule", [
+    (lambda p: p.update(clusters={"c": p["clusters"][0]}), "clusters must be a list of objects"),
+    (lambda p: p["clusters"].append("c9"), "clusters must be a list of objects"),
+    (lambda p: p.update(entries=None), "entries must be a list of objects"),
+    (lambda p: p["entries"].insert(0, ["synth-000"]), "entries must be a list of objects"),
+    (lambda p: p["entries"][0].update(series="0.1 0.2"),
+     "entry 'synth-000': series must be a list of points"),
+    (lambda p: p["entries"][0]["series"].__setitem__(1, [0.5, 0.2]),
+     "entry 'synth-000': series must be a list of points"),
+    (lambda p: p["clusters"][0].update(representative={"position": 0.0, "value": 0.5}),
+     "representative must be a list of points"),
+    (lambda p: p["clusters"][0]["representative"].__setitem__(0, 0.5),
+     "representative must be a list of points"),
+], ids=["clusters-an-object", "cluster-a-string", "entries-null", "entry-a-list",
+        "series-a-string", "point-a-list", "representative-an-object", "point-a-number"])
+def test_search_names_the_structure_rule_a_catalogue_breaks(cli_catalogue, tmp_path, capsys,
+                                                            corrupt, rule):
+    payload = copy.deepcopy(cli_catalogue)
+    corrupt(payload)
+    path = tmp_path / "catalogue.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    assert main(["search", "--catalogue", str(path), "--like", "synth-000"]) == 2
+    out, err = capsys.readouterr()
+    assert f"{path}: malformed catalogue structure: " in err
+    assert rule in err
     assert "Traceback" not in err
     assert out == ""
 

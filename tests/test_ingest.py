@@ -1,3 +1,4 @@
+import base64
 import json
 import math
 import os
@@ -5,10 +6,11 @@ import re
 import stat
 import sys
 import tempfile
+from array import array
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arcindex.catalogue import load as load_catalogue
@@ -23,6 +25,7 @@ from arcindex.pipeline import load_corpus_dir, load_labels
 from arcindex.series import read_series_csv
 from arcindex.similarity import read_matrix_csv
 from oracle_reference import ref_tokenize
+from token_columns import tokens_from_words
 
 # Letters of any script and case (titlecase and caseless ones too; İ
 # lowercases to two characters, ẞ to ß), letter-like numbers, combining
@@ -35,7 +38,9 @@ TEXT = st.text(st.one_of(st.characters(categories=["Lu", "Ll", "Lt", "Lo", "Mn",
 
 def test_tokenize_lowercases_and_flags_capitals():
     tokens = tokenize("Mara walked. The dog saw Mara.")
-    assert tokens.text == ["mara", "walked", "the", "dog", "saw", "mara"]
+    assert tokens.words() == ["mara", "walked", "the", "dog", "saw", "mara"]
+    assert tokens.vocab == ["mara", "walked", "the", "dog", "saw"]
+    assert tokens.codes == array("H", [0, 1, 2, 3, 4, 0])
     assert tokens.capitalized[0] and tokens.sentence_start[0]
     assert tokens.capitalized[2] and tokens.sentence_start[2]
     assert tokens.capitalized[5] and not tokens.sentence_start[5]
@@ -48,7 +53,7 @@ def test_tokenize_sentence_boundaries_need_terminators():
 
 def test_tokenize_keeps_contractions_whole():
     tokens = tokenize("Isn't Odette's coat here?")
-    assert tokens.text == ["isn't", "odette's", "coat", "here"]
+    assert tokens.words() == ["isn't", "odette's", "coat", "here"]
 
 
 @settings(max_examples=300, deadline=None)
@@ -56,10 +61,13 @@ def test_tokenize_keeps_contractions_whole():
 def test_tokenize_matches_the_per_token_reference(text):
     tokens = tokenize(text)
     ref = ref_tokenize(text)
-    assert tokens.text == [t.text for t in ref]
+    assert tokens.words() == [t.text for t in ref]
     assert tokens.capitalized == bytes([t.capitalized for t in ref])
     assert tokens.sentence_start == bytes([t.sentence_start for t in ref])
-    assert all(t is sys.intern(t) for t in tokens.text)
+    # One vocabulary entry per distinct word, in the order each is first used.
+    assert tokens.vocab == list(dict.fromkeys(t.text for t in ref))
+    assert tokens.codes.typecode == "H"
+    assert all(t is sys.intern(t) for t in tokens.vocab)
 
 
 @pytest.mark.parametrize("text", ["", "...", "Mara walked. The dog saw Mara."])
@@ -70,7 +78,7 @@ def test_flag_columns_are_one_byte_per_token(tmp_path, text):
     for got in (tokens, load_store(path)[0].tokens):
         for column in (got.capitalized, got.sentence_start):
             assert type(column) is bytes
-            assert len(column) == len(got.text) == len(tokens)
+            assert len(column) == len(got.codes) == len(tokens)
             assert set(column) <= {0, 1}
 
 
@@ -140,8 +148,8 @@ DEEP_JSON = "[" * 100_000 + "]" * 100_000
 LONG_INT_STORE = '{"format": "arcindex-store", "version": ' + "1" * 5000 + "}"
 NAN_STORE = ('{"documents":[{"author":null,"book_id":"b1","language":"en",'
              '"metadata":{"x":NaN},"title":"T","tokens":{"capitalized":[0],'
-             '"sentence_start":[0],"text":"more words"}}],'
-             '"format":"arcindex-store","version":"3.0"}')
+             '"codes":"AAABAA==","sentence_start":[0],"vocab":"more words"}}],'
+             '"format":"arcindex-store","version":"4.0"}')
 # One field over csv.field_size_limit() (131,072 characters).
 LONG_FIELD = "1" * 131_073
 
@@ -168,7 +176,7 @@ LONG_FIELD = "1" * 131_073
      "row 2: field larger than field limit", {}),
     # Python 3.13 places a trailing comma's error 2 characters before 3.11
     # and 3.12 do; a missing comma has one offset on all three.
-    (load_store, FormatError, '{"format": "arcindex-store" "version": "3.0"}',
+    (load_store, FormatError, '{"format": "arcindex-store" "version": "4.0"}',
      "invalid JSON at offset 28: Expecting ',' delimiter", {"offset": 28}),
     (load_store, FormatError, DEEP_JSON, "invalid JSON: maximum recursion depth exceeded", {}),
     (load_store, FormatError, LONG_INT_STORE, "invalid JSON: Exceeds the limit", {}),
@@ -408,20 +416,24 @@ def test_store_save_keeps_the_mode_a_plain_write_gives(tmp_path):
 
 def test_store_bytes_are_stable(tmp_path):
     docs = [
-        BookDocument(book_id="b1", title='Café "Noir"', tokens=tokenize("Élise met Bram. Bye!"),
+        BookDocument(book_id="b1", title='Café "Noir"',
+                     tokens=tokenize("Élise met Bram. Bram met Élise!"),
                      author="A", metadata={"genres": ["G"], "pub_date": None}),
         BookDocument(book_id="b2", title="Two", tokens=tokenize("More words here.")),
     ]
     path = tmp_path / "store.json"
     save_store(docs, path)
+    # The codes are little-endian on every host: "AAABAAIAAgABAAAA" is the
+    # bytes 00 00 01 00 02 00 02 00 01 00 00 00, codes 0 1 2 2 1 0.
     assert path.read_text(encoding="utf-8") == (
         '{"documents":[{"author":"A","book_id":"b1","language":"en",'
         '"metadata":{"genres":["G"],"pub_date":null},"title":"Caf\\u00e9 \\"Noir\\"",'
-        '"tokens":{"capitalized":[0,2,3],"sentence_start":[0,3],'
-        '"text":"\\u00e9lise met bram bye"}},'
+        '"tokens":{"capitalized":[0,2,3,5],"codes":"AAABAAIAAgABAAAA","sentence_start":[0,3],'
+        '"vocab":"\\u00e9lise met bram"}},'
         '{"author":null,"book_id":"b2","language":"en","metadata":{},"title":"Two",'
-        '"tokens":{"capitalized":[0],"sentence_start":[0],"text":"more words here"}}],'
-        '"format":"arcindex-store","version":"3.0"}\n')
+        '"tokens":{"capitalized":[0],"codes":"AAABAAIA","sentence_start":[0],'
+        '"vocab":"more words here"}}],'
+        '"format":"arcindex-store","version":"4.0"}\n')
 
 
 def test_store_rejects_foreign_json(tmp_path):
@@ -458,7 +470,29 @@ def test_store_round_trips_columns_and_metadata(books):
         save_store(docs, path)
         back = load_store(path)
     assert back == docs
-    assert all(t is sys.intern(t) for d in back for t in d.tokens.text)
+    assert [d.tokens.words() for d in back] == [d.tokens.words() for d in docs]
+    assert [(d.tokens.capitalized, d.tokens.sentence_start) for d in back] == [
+        (d.tokens.capitalized, d.tokens.sentence_start) for d in docs]
+    assert all(t is sys.intern(t) for d in back for t in d.tokens.vocab)
+
+
+@pytest.mark.parametrize("distinct, typecode", [(65_536, "H"), (65_537, "I")])
+def test_codes_widen_past_65536_words_and_round_trip(tmp_path, distinct, typecode):
+    words = [f"w{i}" for i in range(distinct)]
+    tokens = tokenize(" ".join(words + words[::-1]))
+    assert tokens.codes.typecode == typecode
+    assert len(tokens.vocab) == distinct
+    path = tmp_path / "store.json"
+    docs = [BookDocument(book_id="b1", title="T", tokens=tokens)]
+    save_store(docs, path)
+    stored = json.loads(path.read_text(encoding="utf-8"))["documents"][0]["tokens"]["codes"]
+    width = 2 if typecode == "H" else 4
+    assert base64.b64decode(stored) == b"".join(
+        code.to_bytes(width, "little") for code in [*range(distinct), *reversed(range(distinct))])
+    back = load_store(path)
+    assert back == docs
+    assert back[0].tokens.codes.typecode == typecode
+    assert back[0].tokens.words() == words + words[::-1]
 
 
 V1_STORE = ('{"documents":[{"author":null,"book_id":"b2","language":"en","metadata":{},'
@@ -481,17 +515,38 @@ V2_STORE = ('{"documents":[{"author":null,"book_id":"b2","language":"en","metada
 def test_store_rejects_the_format_2_layout(tmp_path):
     path = tmp_path / "store.json"
     path.write_text(V2_STORE, encoding="utf-8")
-    with pytest.raises(FormatError, match="version '2.0' is not '3.0'.*arcindex ingest") as excinfo:
+    with pytest.raises(FormatError, match="version '2.0' is not '4.0'.*arcindex ingest") as excinfo:
         load_store(path)
     assert str(path) in str(excinfo.value)
 
 
-# Stored as text "more words here then bram left", capitalized [0, 1, 3, 4]
-# and sentence_start [0, 3]: six tokens.
+V3_STORE = ('{"documents":[{"author":null,"book_id":"b2","language":"en","metadata":{},'
+            '"title":"Two","tokens":{"capitalized":[0],"sentence_start":[0],'
+            '"text":"more words here"}}],"format":"arcindex-store","version":"3.0"}\n')
+
+
+def test_store_rejects_the_format_3_layout(tmp_path):
+    path = tmp_path / "store.json"
+    path.write_text(V3_STORE, encoding="utf-8")
+    with pytest.raises(FormatError, match="version '3.0' is not '4.0'.*arcindex ingest") as excinfo:
+        load_store(path)
+    assert str(path) in str(excinfo.value)
+
+
+def _stored_codes(codes):
+    """Codes as a store holds them: base64 of two little-endian bytes each."""
+    return base64.b64encode(b"".join(c.to_bytes(2, "little") for c in codes)).decode("ascii")
+
+
+# Stored as vocab "more words here then bram left", codes 0-5 ("AAABAAIAAwAEAAUA"),
+# capitalized [0, 1, 3, 4] and sentence_start [0, 3]: six tokens.
 @pytest.mark.parametrize("column, damage", [
-    ("text", lambda col: col.split(" ")),
-    ("text", lambda col: col.replace(" ", "  ", 1)),
-    ("text", lambda col: col + " "),
+    ("vocab", lambda col: col.split(" ")),
+    ("vocab", lambda col: col.replace(" ", "  ", 1)),
+    ("vocab", lambda col: col + " "),
+    ("vocab", lambda col: " " + col),
+    ("vocab", lambda col: col.replace("left", "more")),
+    ("vocab", lambda col: col.rsplit(" ", 1)[0]),
     ("capitalized", lambda col: "0,1,3,4"),
     ("capitalized", lambda col: [0, 1, 1, 3, 4]),
     ("capitalized", lambda col: [0, 3, 1, 4]),
@@ -500,6 +555,12 @@ def test_store_rejects_the_format_2_layout(tmp_path):
     ("capitalized", lambda col: [0, 1.0, 3, 4]),
     ("capitalized", lambda col: [0, "1", 3, 4]),
     ("sentence_start", lambda col: [*col, 6]),
+    ("codes", lambda col: _stored_codes([0, 1, 2, 3, 4, 6])),
+    ("codes", lambda col: col[:-1]),
+    ("codes", lambda col: col.replace("A", "!", 1)),
+    ("codes", lambda col: col[:8] + "\n" + col[8:]),
+    ("codes", lambda col: base64.b64encode(base64.b64decode(col)[:-1]).decode("ascii")),
+    ("codes", lambda col: [0, 1, 2, 3, 4, 5]),
 ])
 def test_store_rejects_malformed_token_columns(tmp_path, column, damage):
     path = tmp_path / "store.json"
@@ -507,7 +568,8 @@ def test_store_rejects_malformed_token_columns(tmp_path, column, damage):
                              tokens=tokenize("More Words here. Then Bram left."))], path)
     payload = json.loads(path.read_text(encoding="utf-8"))
     tokens = payload["documents"][0]["tokens"]
-    assert tokens == {"text": "more words here then bram left",
+    assert tokens == {"vocab": "more words here then bram left",
+                      "codes": _stored_codes(range(6)),
                       "capitalized": [0, 1, 3, 4], "sentence_start": [0, 3]}
     tokens[column] = damage(tokens[column])
     path.write_text(json.dumps(payload), encoding="utf-8")
@@ -519,8 +581,8 @@ def test_store_rejects_malformed_token_columns(tmp_path, column, damage):
 # Any word without the separator, non-ASCII ones included.
 WORD = st.text(st.characters(exclude_characters=" "), min_size=1, max_size=6)
 TOKENS = st.lists(st.tuples(WORD, st.booleans(), st.booleans()), max_size=12).map(
-    lambda rows: Tokens([r[0] for r in rows], bytes([r[1] for r in rows]),
-                        bytes([r[2] for r in rows])))
+    lambda rows: tokens_from_words([r[0] for r in rows], [r[1] for r in rows],
+                                   [r[2] for r in rows]))
 
 
 @settings(max_examples=100, deadline=None)
@@ -533,24 +595,36 @@ def test_store_round_trips_any_tokens(columns):
         save_store(docs, path)
         back = load_store(path)
     assert back == docs
-    assert all(t is sys.intern(t) for d in back for t in d.tokens.text)
+    assert all(t is sys.intern(t) for d in back for t in d.tokens.vocab)
 
 
 @settings(max_examples=50, deadline=None)
-@given(TOKENS, st.data(),
-       st.sampled_from(["", " ", "a b", " a", "a ", "\u00e9 ", 7, None, b"word", ["word"]]))
-def test_store_refuses_a_token_it_cannot_split_back(tokens, data, bad):
-    offset = data.draw(st.integers(0, len(tokens)))
-    tokens.text.insert(offset, bad)
-    for column in ("capitalized", "sentence_start"):
-        flags = getattr(tokens, column)
-        setattr(tokens, column, flags[:offset] + bytes([False]) + flags[offset:])
+@given(TOKENS, st.sampled_from(["", " ", "a b", " a", "a ", "\u00e9 ", 7, None, b"word",
+                                ["word"], "repeat"]))
+@example(tokens_from_words(["a", "b"], [0, 0], [1, 0]), "repeat")
+def test_store_refuses_a_token_it_cannot_split_back(tokens, bad):
+    # One more token, coded as a new vocabulary word that cannot be stored;
+    # "repeat" stands for a word the vocabulary already holds.
+    offset = len(tokens.vocab)
+    if bad == "repeat":
+        bad = tokens.vocab[0] if tokens.vocab else ""
+    tokens = Tokens([*tokens.vocab, bad], array(tokens.codes.typecode, [*tokens.codes, offset]),
+                    tokens.capitalized + b"\0", tokens.sentence_start + b"\0")
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "store.json"
         path.write_bytes(b"kept")
-        with pytest.raises(FormatError, match=f"book 'b1': token {offset} "):
+        with pytest.raises(FormatError, match=f"book 'b1': vocabulary word {offset} "):
             save_store([BookDocument(book_id="b1", title="T", tokens=tokens)], path)
         assert path.read_bytes() == b"kept"
+
+
+def test_store_refuses_a_code_that_names_no_word(tmp_path):
+    tokens = tokenize("Mara walked.")
+    tokens.codes[1] = 2
+    path = tmp_path / "store.json"
+    with pytest.raises(FormatError, match="book 'b1': code 2 names no word of a 2-word vocabulary"):
+        save_store([BookDocument(book_id="b1", title="T", tokens=tokens)], path)
+    assert not path.exists()
 
 
 # Each damage to a stored document and the words its error must contain.

@@ -188,7 +188,7 @@ def test_load_corpus_dir_merges_summary_metadata(tmp_path, synth_small, monkeypa
         assert doc.author == original.author
         assert doc.metadata["genres"] == original.metadata["genres"]
         assert doc.metadata["summary"] == original.metadata["summary"]
-        assert doc.tokens.text == original.tokens.text
+        assert doc.tokens.words() == original.tokens.words()
 
 
 def test_load_corpus_dir_accepts_bare_text_files(tmp_path):
@@ -275,6 +275,18 @@ def test_a_kept_analysis_equals_a_fresh_one(synth_small, synth_cfg, changes):
         fresh = analyze_book(replace(synth_small.documents[0]), cfg, lexicon, aliases)
         assert _hexed(got) == _hexed(fresh)
         previous = got
+
+
+def test_a_config_changed_in_place_misses_the_kept_analysis(synth_small, synth_cfg):
+    # The memo keeps a copy of the config, so the caller's own object may change.
+    doc = replace(synth_small.documents[0])
+    cfg = replace(synth_cfg)
+    kept = analyze_book(doc, cfg)
+    cfg.alpha = _OTHER_VALUES["alpha"]
+    got = analyze_book(doc, cfg)
+    assert got is not kept
+    assert _hexed(got) == _hexed(analyze_book(replace(synth_small.documents[0]), cfg))
+    assert _hexed(got) != _hexed(kept)
 
 
 def test_a_lexicon_is_held_so_its_address_cannot_be_reused(synth_small, synth_cfg):

@@ -57,7 +57,7 @@ def test_books_have_the_declared_token_budget(synth_small):
 def test_planted_names_clear_the_mention_floor(synth_small, synth_cfg):
     for doc in synth_small.documents:
         truth = synth_small.truth[doc.book_id]
-        tokens = doc.tokens.text
+        tokens = doc.tokens.words()
         for name in truth.core:
             assert tokens.count(name.lower()) >= synth_cfg.min_mentions
         for name in truth.noise_names:
@@ -148,4 +148,4 @@ def test_write_corpus_materializes_every_artifact(tmp_path, synth_small):
 
 def test_rendered_text_tokenizes_back_to_the_plan(synth_small):
     doc = synth_small.documents[0]
-    assert tokenize(synth_small.texts[doc.book_id]).text == doc.tokens.text
+    assert tokenize(synth_small.texts[doc.book_id]).words() == doc.tokens.words()
